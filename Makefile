@@ -15,6 +15,7 @@ FUZZTIME ?= 5s
 FUZZ_TARGETS := \
 	internal/core:FuzzSelectorPath \
 	internal/core:FuzzKSampleSelect \
+	internal/routetab:FuzzChainTable \
 	internal/decomp:FuzzTypeContaining \
 	internal/decomp:FuzzBridge \
 	internal/mesh:FuzzStaircasePath \
@@ -80,14 +81,15 @@ bench-json:
 # CI benchmark gate), then asserts the run-length hot path's allocation
 # budget — PathSelect2D/side256 must stay under half the BENCH_PR4.json
 # hop baseline (< 2909 B/op) — and the routing-table dispatch budget:
-# warm table-mode SelectAllSeg on side 256 must beat the warm chain
-# cache by >= 2x — and the k-sample budget: best-of-4 selection must
-# cost <= 4.5x the k=1 baseline — and the serve-path budget: the
-# pipelined wire2 handler must allocate <= 0.5x the bytes per request
-# of the batch-then-encode loop on the side-256 mesh — and the splice
-# budget: the gateway's zero-copy wire2 fan-in must allocate <= 0.25x
-# the bytes per batch of the decode/re-encode merge on a 2048-pair
-# side-256 batch over three shards.
+# warm SelectAllSeg on side 256 with the default chain backend (the
+# compiled table) must beat the per-packet recompute reference
+# (ChainSourceNone) by >= 1.4x — and the k-sample budget: best-of-4
+# selection must cost <= 4.5x the k=1 baseline — and the serve-path
+# budget: the pipelined wire2 handler must allocate <= 0.5x the bytes
+# per request of the batch-then-encode loop on the side-256 mesh — and
+# the splice budget: the gateway's zero-copy wire2 fan-in must allocate
+# <= 0.25x the bytes per batch of the decode/re-encode merge on a
+# 2048-pair side-256 batch over three shards.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^TestBenchGatePathSelect2D$$' -v .

@@ -9,7 +9,7 @@
 //	meshroute [-d 2] [-side 32] [-torus] [-algo H] [-workload permutation]
 //	          [-seed 1] [-simulate] [-delay 0] [-workers 0] [-check]
 //	          [-pair "x1,y1:x2,y2"] [-l 8] [-heatmap] [-save run.json]
-//	          [-pathfmt hops] [-nochaincache] [-chainsource table]
+//	          [-pathfmt hops] [-chainsource table]
 //	          [-ksample 1] [-cpuprofile p.out] [-memprofile m.out] [-trace t.out]
 //
 // Algorithms: H, H-general, access-tree, dim-order, rand-dim-order,
@@ -41,12 +41,9 @@
 // -cpuprofile, -memprofile and -trace write pprof/runtime-trace
 // artifacts for the run, so hot-path regressions can be diagnosed
 // (`go tool pprof`, `go tool trace`) without editing code.
-// -nochaincache disables the (s, t) → bitonic-chain memoization layer
-// (ablation; cached and uncached runs select byte-identical paths).
-// -chainsource picks the chain backend explicitly: "cache" (the sharded
-// LRU), "table" (the compiled routing table of DESIGN.md §12 — fastest
-// warm dispatch, fixed memory footprint), or "none" (recompute per
-// packet). All three select byte-identical paths.
+// -chainsource picks the chain backend: "table" (the compiled routing
+// table of DESIGN.md §12, the default) or "none" (recompute per packet,
+// the ablation). Both select byte-identical paths.
 package main
 
 import (
@@ -82,27 +79,26 @@ func main() {
 
 // config carries the parsed flag set.
 type config struct {
-	d, side      int
-	torus        bool
-	algoName     string
-	wlName       string
-	seed         uint64
-	simulate     bool
-	maxDelay     int
-	workers      int
-	pair         string
-	l            int
-	heatmap      bool
-	live         bool
-	check        bool
-	pathFmt      string
-	save         string
-	noChainCache bool
-	chainSource  string
-	ksample      int
-	cpuProfile   string
-	memProfile   string
-	traceFile    string
+	d, side     int
+	torus       bool
+	algoName    string
+	wlName      string
+	seed        uint64
+	simulate    bool
+	maxDelay    int
+	workers     int
+	pair        string
+	l           int
+	heatmap     bool
+	live        bool
+	check       bool
+	pathFmt     string
+	save        string
+	chainSource string
+	ksample     int
+	cpuProfile  string
+	memProfile  string
+	traceFile   string
 }
 
 // run is the testable body of the command: parse args, route, report.
@@ -128,8 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.check, "check", false, "machine-check every selected path against the paper's invariants (DESIGN.md §8)")
 	fs.StringVar(&cfg.pathFmt, "pathfmt", "hops", "path representation: \"hops\" (node lists) or \"segments\" (run-length engine; core selectors only)")
 	fs.StringVar(&cfg.save, "save", "", "write the run (problem+paths+report) as JSON to this file")
-	fs.BoolVar(&cfg.noChainCache, "nochaincache", false, "disable the (s,t)->chain memoization layer (ablation; paths are identical either way)")
-	fs.StringVar(&cfg.chainSource, "chainsource", "", `chain backend for core selectors: "cache" (sharded LRU), "table" (compiled routing table), or "none" (recompute per packet); empty follows -nochaincache`)
+	fs.StringVar(&cfg.chainSource, "chainsource", "table", `chain backend for core selectors: "table" (compiled routing table) or "none" (recompute per packet; ablation, paths are identical either way)`)
 	fs.IntVar(&cfg.ksample, "ksample", 1, "semi-oblivious candidates per packet in -live mode: draw k algorithm-H paths, commit the least live-loaded (1 = pure algorithm H)")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
@@ -190,9 +185,6 @@ func validate(cfg config) error {
 	}
 	if _, err := core.ParseChainSource(cfg.chainSource); err != nil {
 		return fmt.Errorf("-chainsource: %w", err)
-	}
-	if cfg.chainSource == "cache" && cfg.noChainCache {
-		return errors.New(`-chainsource cache conflicts with -nochaincache`)
 	}
 	return nil
 }
@@ -291,9 +283,6 @@ func route(cfg config, out io.Writer) error {
 	src, err := core.ParseChainSource(cfg.chainSource)
 	if err != nil {
 		return err
-	}
-	if src == core.ChainSourceDefault && cfg.noChainCache {
-		src = core.ChainSourceNone
 	}
 	algo, err := cli.BuildAlgorithmSource(cfg.algoName, m, cfg.seed, src)
 	if err != nil {
@@ -418,9 +407,6 @@ func route(cfg config, out io.Writer) error {
 			liveC, status, tracker.Total())
 	}
 	if isCore {
-		if cs, ok := named.Sel.ChainCacheStats(); ok {
-			fmt.Fprintf(out, "chain cache       = %s\n", cs)
-		}
 		if ts, ok := named.Sel.RouteTableStats(); ok {
 			fmt.Fprintf(out, "route table       = %s\n", ts)
 		}

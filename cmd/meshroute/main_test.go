@@ -128,18 +128,30 @@ func TestRun(t *testing.T) {
 			wantOut: []string{"adversarial pinned edge", " 0 violations"},
 		},
 		{
-			name:    "chain cache stats line",
+			name:    "route table stats line",
 			args:    []string{"-d", "2", "-side", "8", "-check"},
 			exit:    0,
-			wantOut: []string{"chain cache       = ", "hit rate", " 0 violations"},
+			wantOut: []string{"route table       = ", "cells", " 0 violations"},
 		},
 		{
-			name: "nochaincache ablation",
-			args: []string{"-d", "2", "-side", "8", "-nochaincache", "-check"},
+			name: "chainsource none ablation",
+			args: []string{"-d", "2", "-side", "8", "-chainsource", "none", "-check"},
 			exit: 0,
 			wantOut: []string{
 				"congestion C", " 0 violations",
 			},
+		},
+		{
+			name:       "removed chainsource cache",
+			args:       []string{"-d", "2", "-side", "8", "-chainsource", "cache"},
+			exit:       2,
+			wantErrOut: []string{`-chainsource: chain source "cache" was removed`},
+		},
+		{
+			name:       "removed nochaincache flag",
+			args:       []string{"-d", "2", "-side", "8", "-nochaincache"},
+			exit:       2,
+			wantErrOut: []string{"flag provided but not defined: -nochaincache"},
 		},
 		{
 			name:       "unknown flag",
@@ -321,35 +333,36 @@ func TestRun(t *testing.T) {
 	}
 }
 
-// The -nochaincache ablation must not change the selected paths: both
-// runs print identical reports (modulo the cache-stats line, which only
-// the cached run emits).
+// The chain-memoization ablation (-chainsource none: recompute every
+// chain instead of reading the compiled table) must not change the
+// selected paths: both runs print identical reports, modulo the
+// route-table stats line, which only the table run emits.
 func TestRunCacheAblationIdenticalOutput(t *testing.T) {
 	strip := func(s string) string {
 		var kept []string
 		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "chain cache") {
+			if !strings.HasPrefix(line, "route table") {
 				kept = append(kept, line)
 			}
 		}
 		return strings.Join(kept, "\n")
 	}
-	var cached, uncached, errOut bytes.Buffer
-	if got := run([]string{"-d", "2", "-side", "16", "-seed", "7"}, &cached, &errOut); got != 0 {
-		t.Fatalf("cached run: exit %d, stderr: %s", got, errOut.String())
+	var table, none, errOut bytes.Buffer
+	if got := run([]string{"-d", "2", "-side", "16", "-seed", "7"}, &table, &errOut); got != 0 {
+		t.Fatalf("table run: exit %d, stderr: %s", got, errOut.String())
 	}
-	if got := run([]string{"-d", "2", "-side", "16", "-seed", "7", "-nochaincache"}, &uncached, &errOut); got != 0 {
-		t.Fatalf("uncached run: exit %d, stderr: %s", got, errOut.String())
+	if got := run([]string{"-d", "2", "-side", "16", "-seed", "7", "-chainsource", "none"}, &none, &errOut); got != 0 {
+		t.Fatalf("recompute run: exit %d, stderr: %s", got, errOut.String())
 	}
-	if strip(cached.String()) != uncached.String() {
-		t.Errorf("reports differ with/without chain cache:\ncached:\n%s\nuncached:\n%s",
-			cached.String(), uncached.String())
+	if strip(table.String()) != none.String() {
+		t.Errorf("reports differ between table and recompute:\ntable:\n%s\nnone:\n%s",
+			table.String(), none.String())
 	}
-	if !strings.Contains(cached.String(), "chain cache") {
-		t.Errorf("cached run missing chain-cache stats line:\n%s", cached.String())
+	if !strings.Contains(table.String(), "route table") {
+		t.Errorf("table run missing route-table stats line:\n%s", table.String())
 	}
-	if strings.Contains(uncached.String(), "chain cache") {
-		t.Errorf("uncached run should not print chain-cache stats:\n%s", uncached.String())
+	if strings.Contains(none.String(), "route table") {
+		t.Errorf("recompute run should not print route-table stats:\n%s", none.String())
 	}
 }
 

@@ -2,14 +2,14 @@
 // a network service: POST /v1/route for single pairs, POST /v1/batch
 // for bulk routing (JSON or the compact binary wire format), GET
 // /healthz for liveness, and GET /metrics for a text exposition of
-// live edge loads, chain-cache health, and request counters.
+// live edge loads, the routing-table footprint, and request counters.
 //
 // Usage:
 //
 //	meshrouted [-addr :8732] [-d 2] [-side 32] [-torus] [-seed 1]
 //	           [-max-inflight 0] [-max-queue 0] [-max-batch 65536]
 //	           [-workers 4] [-timeout 10s] [-drain-timeout 30s]
-//	           [-pathfmt hops] [-nochaincache] [-chainsource table]
+//	           [-pathfmt hops] [-chainsource table]
 //	           [-ksample 1] [-pprof] [-nopipeline]
 //
 // -pprof mounts net/http/pprof under /debug/pprof/ on this server's
@@ -83,7 +83,6 @@ type config struct {
 	timeout      time.Duration
 	drainTimeout time.Duration
 	pathFmt      string
-	noChainCache bool
 	chainSource  string
 	ksample      int
 	pprof        bool
@@ -111,8 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "per-request deadline (0 = default)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	fs.StringVar(&cfg.pathFmt, "pathfmt", "hops", "JSON path representation for /v1/batch: \"hops\" (node-id arrays) or \"segments\" (run-length records)")
-	fs.BoolVar(&cfg.noChainCache, "nochaincache", false, "disable the (s,t)->chain memoization layer")
-	fs.StringVar(&cfg.chainSource, "chainsource", "", `chain backend: "cache" (sharded LRU), "table" (compiled routing table), or "none" (recompute per packet); empty follows -nochaincache`)
+	fs.StringVar(&cfg.chainSource, "chainsource", "table", `chain backend: "table" (compiled routing table) or "none" (recompute per packet)`)
 	fs.IntVar(&cfg.ksample, "ksample", 1, "semi-oblivious candidates per packet: draw k algorithm-H paths, commit the least live-loaded (1 = pure algorithm H)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; enable only on trusted networks)")
 	fs.BoolVar(&cfg.noPipeline, "nopipeline", false, "serve ?format=wire2 batches with the sequential batch-then-encode loop instead of the select/encode pipeline (identical bytes; kill switch)")
@@ -175,18 +173,17 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 		return err
 	}
 	srv, err := server.New(server.Config{
-		Mesh:              m,
-		Seed:              cfg.seed,
-		DisableChainCache: cfg.noChainCache,
-		ChainSource:       cfg.chainSource,
-		MaxInFlight:       cfg.maxInFlight,
-		MaxQueue:          cfg.maxQueue,
-		MaxBatch:          cfg.maxBatch,
-		BatchWorkers:      cfg.workers,
-		RequestTimeout:    cfg.timeout,
-		PathFormat:        cfg.pathFmt,
-		KSample:           cfg.ksample,
-		DisablePipeline:   cfg.noPipeline,
+		Mesh:            m,
+		Seed:            cfg.seed,
+		ChainSource:     cfg.chainSource,
+		MaxInFlight:     cfg.maxInFlight,
+		MaxQueue:        cfg.maxQueue,
+		MaxBatch:        cfg.maxBatch,
+		BatchWorkers:    cfg.workers,
+		RequestTimeout:  cfg.timeout,
+		PathFormat:      cfg.pathFmt,
+		KSample:         cfg.ksample,
+		DisablePipeline: cfg.noPipeline,
 	})
 	if err != nil {
 		return err

@@ -39,6 +39,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero ksample", []string{"-ksample", "0"}, 2, "-ksample must be >= 1"},
 		{"negative ksample", []string{"-ksample", "-3"}, 2, "-ksample must be >= 1"},
 		{"bad chainsource", []string{"-chainsource", "disk"}, 2, "-chainsource"},
+		{"removed chainsource cache", []string{"-chainsource", "cache"}, 2, `-chainsource: chain source "cache" was removed`},
+		{"removed nochaincache flag", []string{"-nochaincache"}, 2, "flag provided but not defined: -nochaincache"},
 		{"bad pprof value", []string{"-pprof=maybe"}, 2, "invalid boolean value"},
 		{"bad nopipeline value", []string{"-nopipeline=nah"}, 2, "invalid boolean value"},
 	}

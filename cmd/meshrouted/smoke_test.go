@@ -90,7 +90,7 @@ func TestServeSmoke(t *testing.T) {
 	for _, want := range []string{
 		`meshrouted_routes_total{endpoint="batch"} 128`,
 		"meshrouted_live_congestion",
-		"meshrouted_chain_cache_hits_total",
+		"meshrouted_route_table_bytes",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

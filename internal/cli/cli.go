@@ -46,26 +46,13 @@ func AlgorithmNames() []string {
 // non-oblivious "offline" comparator is not a PathSelector and is
 // handled separately by callers.
 func BuildAlgorithm(name string, m *mesh.Mesh, seed uint64) (baseline.PathSelector, error) {
-	return BuildAlgorithmCache(name, m, seed, false)
-}
-
-// BuildAlgorithmCache is BuildAlgorithm with the chain cache toggle:
-// disableChainCache turns off the (s, t) → chain memoization of the
-// core selectors (the meshroute -nochaincache ablation). Baselines
-// have no chain cache and ignore the toggle.
-func BuildAlgorithmCache(name string, m *mesh.Mesh, seed uint64, disableChainCache bool) (baseline.PathSelector, error) {
-	src := core.ChainSourceDefault
-	if disableChainCache {
-		src = core.ChainSourceNone
-	}
-	return BuildAlgorithmSource(name, m, seed, src)
+	return BuildAlgorithmSource(name, m, seed, core.ChainSourceTable)
 }
 
 // BuildAlgorithmSource is BuildAlgorithm with an explicit chain source
-// for the core selectors (the -chainsource flag of meshroute and
-// meshrouted): the sharded LRU, the compiled routing table, or
-// per-packet recomputation. Baselines have no chain state and ignore
-// the choice.
+// for the core selectors (the -chainsource flag of meshroute): the
+// compiled routing table or per-packet recomputation. Baselines have
+// no chain state and ignore the choice.
 func BuildAlgorithmSource(name string, m *mesh.Mesh, seed uint64, src core.ChainSource) (baseline.PathSelector, error) {
 	switch name {
 	case "H":

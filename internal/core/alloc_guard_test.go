@@ -15,11 +15,11 @@ import (
 // The warm steady state allocates only the caller-owned final path
 // (one slice per packet) plus occasional map/slice growth inside the
 // reused scratch; everything else — rng, chain, perm, waypoints,
-// reservoirs, raw path — is served from the pool and the chain cache.
+// reservoirs, raw path — is served from the pooled scratch.
 const (
-	maxPathAllocs      = 3.0 // Selector.Path, warm cache, per call
-	maxSelectAllPerPkt = 3.0 // SelectAllInto, warm cache, per packet
-	maxSegTablePerPkt  = 1.0 // SelectAllSegInto, table source, per packet
+	maxPathAllocs      = 3.0 // Selector.Path, warm, per call
+	maxSelectAllPerPkt = 3.0 // SelectAllInto, warm, per packet
+	maxSegTablePerPkt  = 1.0 // SelectAllSegInto, default backend, per packet
 )
 
 func TestPathAllocsWarm(t *testing.T) {
@@ -29,7 +29,7 @@ func TestPathAllocsWarm(t *testing.T) {
 	m := mesh.MustSquare(2, 32)
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
 	s, d := mesh.NodeID(0), mesh.NodeID(m.Size()-1)
-	// Warm the cache, the scratch pool and every growable buffer.
+	// Warm the scratch pool and every growable buffer.
 	for i := 0; i < 64; i++ {
 		sink = sel.Path(s, d, uint64(i%8))
 	}
@@ -49,7 +49,7 @@ func TestSelectAllIntoAllocsWarm(t *testing.T) {
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
 	prob := workload.RandomPermutation(m, 3)
 	paths := make([]mesh.Path, len(prob.Pairs))
-	// Warm pass fills the chain cache and grows all scratch buffers.
+	// Warm pass grows all scratch buffers.
 	for i := 0; i < 3; i++ {
 		sel.SelectAllInto(prob.Pairs, paths, nil)
 	}
@@ -63,17 +63,17 @@ func TestSelectAllIntoAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestSelectAllSegTableAllocsWarm pins table-mode warm dispatch at
-// ≤ 1 allocation per packet: the caller-owned Segs copy of each
-// SegPath. Chains assemble into the scratch buffer, so unlike cache
-// mode there is no LRU bookkeeping and no miss-path recompute left to
-// allocate.
+// TestSelectAllSegTableAllocsWarm pins the default backend's warm
+// dispatch at ≤ 1 allocation per packet: the caller-owned Segs copy of
+// each SegPath, which no engine without an arena can avoid. Chains
+// assemble into the scratch's routetab.Buf, so nothing else is left
+// to allocate.
 func TestSelectAllSegTableAllocsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	m := mesh.MustSquare(2, 32)
-	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: ChainSourceTable})
+	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
 	prob := workload.RandomPermutation(m, 3)
 	sps := make([]mesh.SegPath, len(prob.Pairs))
 	// Warm pass grows the scratch buffers (chain, segs, reservoirs).
@@ -85,7 +85,7 @@ func TestSelectAllSegTableAllocsWarm(t *testing.T) {
 	})
 	perPkt := avg / float64(len(prob.Pairs))
 	if perPkt > maxSegTablePerPkt {
-		t.Errorf("table-mode SelectAllSegInto allocates %.2f/packet warm (%.0f/batch over %d packets), budget %.1f",
+		t.Errorf("default-backend SelectAllSegInto allocates %.2f/packet warm (%.0f/batch over %d packets), budget %.1f",
 			perPkt, avg, len(prob.Pairs), maxSegTablePerPkt)
 	}
 }

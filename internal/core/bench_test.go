@@ -11,10 +11,10 @@ import (
 // sink defeats dead-code elimination in benchmarks and alloc guards.
 var sink interface{}
 
-// BenchmarkSelectAll is the PR-3 headline: the fused batch engine with
-// the chain cache warm versus the uncached ablation, on the same
-// problem with the same seed (the selected paths are byte-identical —
-// TestChainCacheGoldenEquality asserts it; this measures the cost).
+// BenchmarkSelectAll prices the fused hop-path batch engine under both
+// chain backends — the compiled table (default) and per-packet
+// recomputation — on the same problem with the same seed (the selected
+// paths are byte-identical — TestRouteTableGoldenEquality asserts it).
 func BenchmarkSelectAll(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -26,16 +26,11 @@ func BenchmarkSelectAll(b *testing.B) {
 		{"3d-side8", mesh.MustSquare(3, 8), VariantGeneral},
 	} {
 		prob := workload.RandomPermutation(c.m, 3)
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"cached", false}, {"uncached", true}} {
-			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
-				sel := MustNewSelector(c.m, Options{
-					Variant: c.v, Seed: 1, DisableChainCache: mode.disable,
-				})
+		for _, cs := range []ChainSource{ChainSourceTable, ChainSourceNone} {
+			b.Run(c.name+"/"+cs.String(), func(b *testing.B) {
+				sel := MustNewSelector(c.m, Options{Variant: c.v, Seed: 1, ChainSource: cs})
 				paths := make([]mesh.Path, len(prob.Pairs))
-				sel.SelectAllInto(prob.Pairs, paths, nil) // warm cache + pool
+				sel.SelectAllInto(prob.Pairs, paths, nil) // warm pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -47,13 +42,12 @@ func BenchmarkSelectAll(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectAllSeg is the PR-6 headline: the segment-native batch
-// engine across the three chain backends — the compiled routing table,
-// the warm sharded LRU, and per-packet recomputation — on full random
-// permutations. All three select byte-identical paths
-// (TestRouteTableGoldenEquality); this prices the dispatch. The side-256
-// table row is the figure the table backend is judged on: it must beat
-// the warm cache by ≥ 2x (TestBenchGateSelectAllSegTable enforces it).
+// BenchmarkSelectAllSeg is the segment-native batch engine across the
+// two chain backends — the compiled routing table (default) and
+// per-packet recomputation — on full random permutations. Both select
+// byte-identical paths (TestRouteTableGoldenEquality); this prices the
+// dispatch. The side-256 rows are the figures the default backend is
+// judged on (TestBenchGateSelectAllSegTable enforces their ratio).
 func BenchmarkSelectAllSeg(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -64,20 +58,11 @@ func BenchmarkSelectAllSeg(b *testing.B) {
 	} {
 		m := mesh.MustSquare(2, c.side)
 		prob := workload.RandomPermutation(m, 3)
-		for _, src := range []struct {
-			name string
-			cs   ChainSource
-		}{
-			{"table", ChainSourceTable},
-			{"cached", ChainSourceCache},
-			{"uncached", ChainSourceNone},
-		} {
-			b.Run(c.name+"/"+src.name, func(b *testing.B) {
-				sel := MustNewSelector(m, Options{
-					Variant: Variant2D, Seed: 1, ChainSource: src.cs,
-				})
+		for _, cs := range []ChainSource{ChainSourceTable, ChainSourceNone} {
+			b.Run(c.name+"/"+cs.String(), func(b *testing.B) {
+				sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: cs})
 				sps := make([]mesh.SegPath, len(prob.Pairs))
-				sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{}) // warm cache + scratch
+				sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{}) // warm scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -90,9 +75,10 @@ func BenchmarkSelectAllSeg(b *testing.B) {
 }
 
 // TestBenchGateSelectAllSegTable is the CI benchmark gate for the
-// compiled routing table: on the side-256 headline permutation the
-// warm table backend must route at least 2x as fast per packet as the
-// warm chain cache. The gate runs with the regular suite (and
+// default chain backend: on the side-256 headline permutation the warm
+// default selector (the compiled table) must route at least
+// minTableSpeedup times as fast per batch as the ChainSourceNone
+// recompute reference. The gate runs with the regular suite (and
 // explicitly in `make bench-smoke`) so a dispatch regression fails
 // fast, not only when someone re-runs `make bench-json`.
 func TestBenchGateSelectAllSegTable(t *testing.T) {
@@ -102,13 +88,19 @@ func TestBenchGateSelectAllSegTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime distorts ns/op; the gate runs in the non-race suite")
 	}
+	// Over 12 runs of this gate on a 2-vCPU x86-64 container the ratio
+	// ranged 1.57x–2.12x (median 1.82x); chain dispatch is about a
+	// tenth of a table-mode packet, the rest is waypoints, staircases
+	// and cycle excision shared by both backends. 1.4x leaves room for
+	// noisy hosts while still failing if the table loses its edge.
+	const minTableSpeedup = 1.4
 	m := mesh.MustSquare(2, 256)
 	prob := workload.RandomPermutation(m, 3)
 	// Scheduler noise only ever adds time, so each mode takes the best
 	// of two measurements — the ratio of minima tracks the true ratio
 	// far more tightly than any single run.
-	measure := func(cs ChainSource) float64 {
-		sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: cs})
+	measure := func(opt Options) float64 {
+		sel := MustNewSelector(m, opt)
 		sps := make([]mesh.SegPath, len(prob.Pairs))
 		sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{}) // warm
 		best := 0.0
@@ -125,28 +117,24 @@ func TestBenchGateSelectAllSegTable(t *testing.T) {
 		sink = sps
 		return best
 	}
-	table, cache := measure(ChainSourceTable), measure(ChainSourceCache)
-	if table*2 > cache {
-		t.Fatalf("table-mode SelectAllSeg side-256: %.0f ns/op vs cache %.0f ns/op (%.2fx), want >= 2x",
-			table, cache, cache/table)
+	def := measure(Options{Variant: Variant2D, Seed: 1})
+	none := measure(Options{Variant: Variant2D, Seed: 1, ChainSource: ChainSourceNone})
+	if def*minTableSpeedup > none {
+		t.Fatalf("default-backend SelectAllSeg side-256: %.0f ns/op vs recompute %.0f ns/op (%.2fx), want >= %.1fx",
+			def, none, none/def, minTableSpeedup)
 	}
-	t.Logf("table %.0f ns/op, cache %.0f ns/op: %.2fx", table, cache, cache/table)
+	t.Logf("default (table) %.0f ns/op, recompute %.0f ns/op: %.2fx", def, none, none/def)
 }
 
-// BenchmarkSelectAllParallel measures the parallel fused engine with
-// the warm shared cache (workers contend on the sharded LRU).
+// BenchmarkSelectAllParallel measures the parallel fused engine under
+// both chain backends (workers share the read-only table).
 func BenchmarkSelectAllParallel(b *testing.B) {
 	m := mesh.MustSquare(2, 64)
 	prob := workload.RandomPermutation(m, 3)
 	for _, workers := range []int{2, 4, 8} {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"cached", false}, {"uncached", true}} {
-			b.Run(fmt.Sprintf("workers%d/%s", workers, mode.name), func(b *testing.B) {
-				sel := MustNewSelector(m, Options{
-					Variant: Variant2D, Seed: 1, DisableChainCache: mode.disable,
-				})
+		for _, cs := range []ChainSource{ChainSourceTable, ChainSourceNone} {
+			b.Run(fmt.Sprintf("workers%d/%s", workers, cs), func(b *testing.B) {
+				sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: cs})
 				paths := make([]mesh.Path, len(prob.Pairs))
 				sel.SelectAllParallelInto(prob.Pairs, workers, paths, nil)
 				b.ReportAllocs()
@@ -160,18 +148,13 @@ func BenchmarkSelectAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPathWarm measures the single-packet entry point on a warm
-// cache — the per-request cost a streaming Session pays.
+// BenchmarkPathWarm measures the single-packet entry point with a warm
+// scratch pool — the per-request cost a streaming Session pays.
 func BenchmarkPathWarm(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"cached", false}, {"uncached", true}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, cs := range []ChainSource{ChainSourceTable, ChainSourceNone} {
+		b.Run(cs.String(), func(b *testing.B) {
 			m := mesh.MustSquare(2, 64)
-			sel := MustNewSelector(m, Options{
-				Variant: Variant2D, Seed: 1, DisableChainCache: mode.disable,
-			})
+			sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: cs})
 			s, t := mesh.NodeID(0), mesh.NodeID(m.Size()-1)
 			sink = sel.Path(s, t, 0) // warm
 			b.ReportAllocs()

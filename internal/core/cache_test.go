@@ -34,45 +34,44 @@ func cacheEquivCases() []struct {
 	}
 }
 
-// TestChainCacheGoldenEquality: cached and uncached selection must
-// produce byte-identical paths and identical Aggregates for identical
-// (seed, stream, s, t), across every variant and multiple seeds — the
-// acceptance bar that lets the invariant engine audit cached chains.
+// The TestChainCache* tests predate the compiled table: they pinned
+// the LRU chain cache, once the default backend, against per-packet
+// recomputation. The cache is gone; they now pin whatever zero Options
+// select — the compiled table — against the ChainSourceNone reference.
+
+// TestChainCacheGoldenEquality: the default chain backend and
+// per-packet recomputation must produce byte-identical paths and
+// identical Aggregates for identical (seed, stream, s, t), across every
+// variant and multiple seeds, on cold and warm passes — the acceptance
+// bar that lets the invariant engine audit the default backend.
 func TestChainCacheGoldenEquality(t *testing.T) {
 	for _, c := range cacheEquivCases() {
 		for _, seed := range []uint64{1, 42, 7777} {
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
-				optC := c.opt
-				optC.Seed = seed
-				optU := optC
-				optU.DisableChainCache = true
+				optD := c.opt
+				optD.Seed = seed
+				optN := optD
+				optN.ChainSource = ChainSourceNone
 
-				selC := MustNewSelector(c.m, optC)
-				selU := MustNewSelector(c.m, optU)
-				if _, ok := selC.ChainCacheStats(); !ok {
-					t.Fatal("chain cache should be on by default")
+				selD := MustNewSelector(c.m, optD)
+				selN := MustNewSelector(c.m, optN)
+				if _, ok := selD.RouteTableStats(); !ok {
+					t.Fatal("the default backend should be the compiled table")
 				}
-				if _, ok := selU.ChainCacheStats(); ok {
-					t.Fatal("DisableChainCache left the cache on")
+				if _, ok := selN.RouteTableStats(); ok {
+					t.Fatal("ChainSourceNone built a table")
 				}
 
 				prob := workload.RandomPermutation(c.m, seed+3)
-				pathsU, aggU := selU.SelectAll(prob.Pairs)
-				// Route the cached selector twice: the first pass fills
-				// the cache (all misses), the second is all hits — both
-				// must match the uncached golden output exactly.
+				pathsN, aggN := selN.SelectAll(prob.Pairs)
 				for _, label := range []string{"cold", "warm"} {
-					pathsC, aggC := selC.SelectAll(prob.Pairs)
-					if !pathsEqual(pathsC, pathsU) {
-						t.Fatalf("%s cached paths differ from uncached", label)
+					pathsD, aggD := selD.SelectAll(prob.Pairs)
+					if !pathsEqual(pathsD, pathsN) {
+						t.Fatalf("%s default-backend paths differ from recompute", label)
 					}
-					if aggC != aggU {
-						t.Fatalf("%s cached aggregate %+v != uncached %+v", label, aggC, aggU)
+					if aggD != aggN {
+						t.Fatalf("%s default-backend aggregate %+v != recompute %+v", label, aggD, aggN)
 					}
-				}
-				st, _ := selC.ChainCacheStats()
-				if st.Hits == 0 {
-					t.Fatalf("no cache hits after warm pass: %+v", st)
 				}
 			})
 		}
@@ -80,104 +79,50 @@ func TestChainCacheGoldenEquality(t *testing.T) {
 }
 
 // TestChainCacheChainIdentity: Chain must return structurally identical
-// chains with the cache on and off, and repeated cached calls must
-// return the same interned boxes.
+// chains under the default backend and under recomputation, and
+// repeated calls must return equal boxes.
 func TestChainCacheChainIdentity(t *testing.T) {
 	for _, c := range cacheEquivCases() {
 		t.Run(c.name, func(t *testing.T) {
-			optU := c.opt
-			optU.DisableChainCache = true
-			selC := MustNewSelector(c.m, c.opt)
-			selU := MustNewSelector(c.m, optU)
+			optN := c.opt
+			optN.ChainSource = ChainSourceNone
+			selD := MustNewSelector(c.m, c.opt)
+			selN := MustNewSelector(c.m, optN)
 			n := mesh.NodeID(c.m.Size() - 1)
 			for _, pr := range []mesh.Pair{{S: 0, T: n}, {S: n / 3, T: n / 2}, {S: n, T: 0}} {
-				chC, brC := selC.Chain(pr.S, pr.T)
-				chU, brU := selU.Chain(pr.S, pr.T)
-				if len(chC) != len(chU) {
-					t.Fatalf("pair %v: cached chain len %d != uncached %d", pr, len(chC), len(chU))
+				chD, brD := selD.Chain(pr.S, pr.T)
+				chN, brN := selN.Chain(pr.S, pr.T)
+				again, _ := selD.Chain(pr.S, pr.T)
+				if len(chD) != len(chN) || len(again) != len(chD) {
+					t.Fatalf("pair %v: chain len %d (again %d) != recompute %d", pr, len(chD), len(again), len(chN))
 				}
-				for i := range chC {
-					if !chC[i].Equal(chU[i]) {
-						t.Fatalf("pair %v: chain[%d] %v != %v", pr, i, chC[i], chU[i])
+				for i := range chD {
+					if !chD[i].Equal(chN[i]) || !again[i].Equal(chD[i]) {
+						t.Fatalf("pair %v: chain[%d] %v (again %v) != %v", pr, i, chD[i], again[i], chN[i])
 					}
 				}
-				if !brC.Box.Equal(brU.Box) || brC.Level != brU.Level || brC.Type != brU.Type {
-					t.Fatalf("pair %v: bridge %+v != %+v", pr, brC, brU)
+				if !brD.Box.Equal(brN.Box) || brD.Level != brN.Level || brD.Type != brN.Type {
+					t.Fatalf("pair %v: bridge %+v != %+v", pr, brD, brN)
 				}
 			}
 		})
 	}
 }
 
-// TestChainCacheStatsAccounting: a permutation routed twice must show
-// len(pairs) compulsory misses and at least len(pairs) hits (the s==t
-// packets never reach the cache).
-func TestChainCacheStatsAccounting(t *testing.T) {
-	m := mesh.MustSquare(2, 8)
-	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
-	prob := workload.Transpose(m)
-	distinct := 0
-	for _, pr := range prob.Pairs {
-		if pr.S != pr.T {
-			distinct++
-		}
-	}
-	sel.SelectAll(prob.Pairs)
-	sel.SelectAll(prob.Pairs)
-	st, ok := sel.ChainCacheStats()
-	if !ok {
-		t.Fatal("cache disabled")
-	}
-	if st.Misses != int64(distinct) {
-		t.Fatalf("misses = %d, want %d (one per distinct pair)", st.Misses, distinct)
-	}
-	if st.Hits < int64(distinct) {
-		t.Fatalf("hits = %d, want ≥ %d after the warm pass", st.Hits, distinct)
-	}
-	if st.Entries == 0 || st.Capacity == 0 {
-		t.Fatalf("implausible residency: %+v", st)
-	}
-}
-
-// TestChainCacheBounded: a tiny cache must stay within its bound and
-// still route correctly under eviction pressure.
-func TestChainCacheBounded(t *testing.T) {
-	m := mesh.MustSquare(2, 16)
-	opt := Options{Variant: Variant2D, Seed: 9, ChainCacheSize: 16}
-	sel := MustNewSelector(m, opt)
-	optU := opt
-	optU.DisableChainCache = true
-	selU := MustNewSelector(m, optU)
-
-	prob := workload.RandomPermutation(m, 5)
-	got, _ := sel.SelectAll(prob.Pairs)
-	want, _ := selU.SelectAll(prob.Pairs)
-	if !pathsEqual(got, want) {
-		t.Fatal("paths differ under eviction pressure")
-	}
-	st, _ := sel.ChainCacheStats()
-	if st.Entries > st.Capacity {
-		t.Fatalf("resident %d exceeds capacity %d", st.Entries, st.Capacity)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions with capacity 16 over %d pairs: %+v", len(prob.Pairs), st)
-	}
-}
-
-// TestChainCacheParallelEquality: the parallel engine with a warm,
-// shared cache must match the serial uncached paths bit for bit (the
-// cache is exercised concurrently; run under -race this doubles as the
-// concurrency check for the sharded LRU inside the selector).
+// TestChainCacheParallelEquality: the parallel engine sharing one
+// default-backend selector must match the serial recomputed paths bit
+// for bit (run under -race this doubles as the concurrency check of
+// the shared read-only table and the pooled scratch).
 func TestChainCacheParallelEquality(t *testing.T) {
 	m := mesh.MustSquare(2, 16)
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 4})
-	selU := MustNewSelector(m, Options{Variant: Variant2D, Seed: 4, DisableChainCache: true})
+	selN := MustNewSelector(m, Options{Variant: Variant2D, Seed: 4, ChainSource: ChainSourceNone})
 	prob := workload.RandomPermutation(m, 8)
-	want, wantAgg := selU.SelectAll(prob.Pairs)
+	want, wantAgg := selN.SelectAll(prob.Pairs)
 	for round := 0; round < 3; round++ {
 		got, agg := sel.SelectAllParallel(prob.Pairs, 8)
 		if !pathsEqual(got, want) {
-			t.Fatalf("round %d: parallel cached paths differ", round)
+			t.Fatalf("round %d: parallel default-backend paths differ", round)
 		}
 		if agg != wantAgg {
 			t.Fatalf("round %d: aggregate %+v != %+v", round, agg, wantAgg)

@@ -7,6 +7,7 @@ import (
 	"obliviousmesh/internal/bitrand"
 	"obliviousmesh/internal/decomp"
 	"obliviousmesh/internal/mesh"
+	"obliviousmesh/internal/routetab"
 )
 
 // Trace records every decision of one path selection: the bitonic
@@ -54,10 +55,10 @@ func (sel *Selector) PathStats(s, t mesh.NodeID, stream uint64) (mesh.Path, Stat
 type scratch struct {
 	rng    bitrand.Source
 	raw    mesh.Path
-	segs   []mesh.Seg // run-length construction buffer
-	segs2  []mesh.Seg // recompression buffer for the cycle fallback
-	segs3  []mesh.Seg // second compression buffer: k-sample candidate double-buffering
-	chain  []mesh.Box // table-mode chain assembly buffer
+	segs   []mesh.Seg   // run-length construction buffer
+	segs2  []mesh.Seg   // recompression buffer for the cycle fallback
+	segs3  []mesh.Seg   // second compression buffer: k-sample candidate double-buffering
+	tab    routetab.Buf // table-mode chain assembly space
 	wp     []mesh.NodeID
 	c      mesh.Coord
 	perm   []int
@@ -95,11 +96,8 @@ func (sel *Selector) construct(s, t mesh.NodeID, stream uint64, keepSegments boo
 	tr := sel.constructInto(s, t, stream, keepSegments, sc)
 	tr.Waypoints = append([]mesh.NodeID(nil), tr.Waypoints...)
 	tr.Perm = append([]int(nil), tr.Perm...)
-	if sel.table != nil && tr.Chain != nil {
-		// Table-mode chains assemble into scratch memory; detach before
-		// the scratch returns to the pool (cache-mode chains are
-		// interned entries and already stable).
-		tr.Chain = append([]mesh.Box(nil), tr.Chain...)
+	if tr.Chain != nil {
+		tr.Chain, tr.Bridge = cloneChain(tr.Chain, tr.Bridge)
 	}
 	sel.putScratch(sc)
 	return tr
@@ -109,10 +107,10 @@ func (sel *Selector) construct(s, t mesh.NodeID, stream uint64, keepSegments boo
 // Explain, PathStats and the fused batch engines (SelectAllInto and
 // friends); traces stay authoritative by construction, and buffer
 // reuse lives here so every entry point selects bit-for-bit identical
-// paths. Only Trace.Path, Trace.Segments and Trace.Chain are safe to
-// retain across calls with the same scratch; Waypoints and Perm alias
-// scratch memory (construct clones them before the scratch returns to
-// the pool). Chain may be an interned cache entry and is read-only.
+// paths. Only Trace.Path and Trace.Segments are safe to retain across
+// calls with the same scratch; Waypoints, Perm, Chain and Bridge.Box
+// alias scratch memory (construct clones them before the scratch
+// returns to the pool).
 func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments bool, sc *scratch) Trace {
 	if s == t {
 		return Trace{
@@ -123,11 +121,11 @@ func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments
 			Stats:     Stats{ChainLen: 1},
 		}
 	}
-	chain, br, waypoints, perm := sel.prepare(s, t, stream, sc)
+	ch, waypoints, perm := sel.prepare(s, t, stream, sc)
 
 	tr := Trace{
 		S: s, T: t,
-		Bridge:    br,
+		Bridge:    ch.br,
 		Waypoints: waypoints,
 		Perm:      perm,
 	}
@@ -141,7 +139,7 @@ func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments
 			tr.Segments = append(tr.Segments, seg)
 			raw = append(raw, seg[1:]...)
 		}
-		tr.Chain = chain
+		tr.Chain = ch.boxes
 	} else {
 		// Hot path: emit the dim-by-dim runs directly, then expand them
 		// into the raw walk with pure stride arithmetic — no per-hop
@@ -156,9 +154,9 @@ func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments
 	sc.raw = raw // keep the grown capacity for the next packet
 	tr.Stats = Stats{
 		RandomBits:   sc.rng.BitsUsed(),
-		BridgeHeight: sel.dc.HeightOf(br.Level),
-		BridgeType:   br.Type,
-		ChainLen:     len(chain),
+		BridgeHeight: sel.dc.HeightOf(ch.br.Level),
+		BridgeType:   ch.br.Type,
+		ChainLen:     len(ch.boxes),
 		RawLen:       raw.Len(),
 	}
 	var path mesh.Path
@@ -176,14 +174,22 @@ func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments
 }
 
 // prepare runs the shared prelude of both path representations:
-// reseed the packet's randomness, fetch the (possibly interned) chain,
-// draw the dimension order and the random waypoints. The returned
+// resolve the chain, then draw the packet's randomness against it. The
+// returned chain, waypoints and perm alias scratch memory.
+func (sel *Selector) prepare(s, t mesh.NodeID, stream uint64, sc *scratch) (chainRef, []mesh.NodeID, []int) {
+	ch := sel.chainFor(s, t, sc)
+	waypoints, perm := sel.draw(s, t, stream, ch, sc)
+	return ch, waypoints, perm
+}
+
+// draw reseeds the packet's randomness and draws the dimension order
+// and the random waypoints in the resolved chain ch. Stream is the
+// only input that varies between the k-sample candidates of one
+// packet, which is why they share one chain resolution. The returned
 // waypoints and perm alias scratch memory.
-func (sel *Selector) prepare(s, t mesh.NodeID, stream uint64, sc *scratch) ([]mesh.Box, decomp.Bridge, []mesh.NodeID, []int) {
+func (sel *Selector) draw(s, t mesh.NodeID, stream uint64, ch chainRef, sc *scratch) ([]mesh.NodeID, []int) {
 	rng := &sc.rng
 	rng.ReseedSplit(sel.opt.Seed, stream^(uint64(s)<<24)^uint64(t))
-	chain, br, capBits := sel.chainFor(s, t, sc)
-
 	d := sel.m.Dim()
 	perm := sc.perm[:d]
 	if sel.opt.FixedDimOrder {
@@ -193,9 +199,7 @@ func (sel *Selector) prepare(s, t mesh.NodeID, stream uint64, sc *scratch) ([]me
 	} else {
 		rng.PermInto(perm)
 	}
-
-	waypoints := sel.drawWaypoints(chain, capBits, s, t, rng, sc)
-	return chain, br, waypoints, perm
+	return sel.drawWaypoints(ch.boxes, ch.capBits, s, t, rng, sc), perm
 }
 
 // String renders the trace for human inspection.

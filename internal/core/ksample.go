@@ -139,15 +139,21 @@ func (sel *Selector) selectKSegArena(s, t mesh.NodeID, stream uint64, snapshot [
 		scores[0] = 0
 		return best, bestStats, 0, scores
 	}
+	// The chain is a function of (s, t) alone: resolve it once and let
+	// the k candidates differ only in their randomness streams.
+	var ch chainRef
+	if s != t {
+		ch = sel.chainFor(s, t, sc)
+	}
 	if sel.opt.KeepCycles {
 		// With cycles kept the fused scorer doesn't apply (it scores the
 		// excised walk); construct and scan each candidate separately.
-		best, bestStats := sel.constructSegInto(s, t, stream, sc)
+		best, bestStats := sel.constructSegChain(s, t, stream, ch, nil, sc)
 		scores[0] = metrics.SegPathMaxLoad(sel.m, snapshot, best)
 		bestIdx := 0
 		totalBits := bestStats.RandomBits
 		for j := 1; j < k; j++ {
-			cand, st := sel.constructSegInto(s, t, KSampleStream(stream, j), sc)
+			cand, st := sel.constructSegChain(s, t, KSampleStream(stream, j), ch, nil, sc)
 			totalBits += st.RandomBits
 			scores[j] = metrics.SegPathMaxLoad(sel.m, snapshot, cand)
 			if scores[j] < scores[bestIdx] {
@@ -163,12 +169,12 @@ func (sel *Selector) selectKSegArena(s, t mesh.NodeID, stream uint64, snapshot [
 	// buffer roles. Losing candidates therefore never allocate; only
 	// the committed path pays the exact-size caller-owned copy.
 	bufBest, bufCand := sc.segs2, sc.segs3
-	best, bestStats, bufBest, score0 := sel.constructSegScored(s, t, stream, snapshot, bufBest, sc)
+	best, bestStats, bufBest, score0 := sel.constructSegScored(s, t, stream, ch, snapshot, bufBest, sc)
 	scores[0] = score0
 	bestIdx := 0
 	totalBits := bestStats.RandomBits
 	for j := 1; j < k; j++ {
-		cand, st, grown, score := sel.constructSegScored(s, t, KSampleStream(stream, j), snapshot, bufCand, sc)
+		cand, st, grown, score := sel.constructSegScored(s, t, KSampleStream(stream, j), ch, snapshot, bufCand, sc)
 		bufCand = grown
 		totalBits += st.RandomBits
 		scores[j] = score

@@ -32,8 +32,8 @@ func fakeSnapshot(m *mesh.Mesh, seed uint64) []int64 {
 
 // TestKSampleGoldenK1: at k = 1 the k-sample engine must be
 // byte-identical to the plain segment engine — identical paths and
-// identical Aggregates — across every chain backend (table, cache,
-// none), variant, torus/mesh, seed, and serial/parallel engine, even
+// identical Aggregates — across both chain backends (table, none),
+// variant, torus/mesh, seed, and serial/parallel engine, even
 // against a hostile non-uniform snapshot (k = 1 never scores). This is
 // the golden wall that pins "k=1 ≡ algorithm H".
 func TestKSampleGoldenK1(t *testing.T) {
@@ -44,13 +44,13 @@ func TestKSampleGoldenK1(t *testing.T) {
 				opt := c.opt
 				opt.Seed = seed
 				opt.KSample = 1
-				selT, selC, selN := tableTrio(c.m, opt)
+				selT, selN := tablePair(c.m, opt)
 
 				prob := workload.RandomPermutation(c.m, seed+3)
 				snap := fakeSnapshot(c.m, seed)
 				want, wantAgg := selN.SelectAllSeg(prob.Pairs)
 
-				for _, sel := range []*Selector{selT, selC, selN} {
+				for _, sel := range []*Selector{selT, selN} {
 					src := sel.Options().ChainSource
 					got, agg, ks := sel.SelectAllKSeg(prob.Pairs, snap)
 					if !segPathsEqual(got, want) {

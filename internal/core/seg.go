@@ -46,23 +46,16 @@ func (sel *Selector) constructSegArena(s, t mesh.NodeID, stream uint64, ar *SegA
 	if s == t {
 		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}
 	}
-	chain, br, waypoints, perm := sel.prepare(s, t, stream, sc)
+	return sel.constructSegChain(s, t, stream, sel.chainFor(s, t, sc), ar, sc)
+}
 
-	segs := sc.segs[:0]
-	for i := 1; i < len(waypoints); i++ {
-		segs = sel.m.AppendStaircaseSegs(segs, waypoints[i-1], waypoints[i], perm)
+// constructSegChain is constructSegArena against the already resolved
+// chain ch of (s, t) (ignored when s == t).
+func (sel *Selector) constructSegChain(s, t mesh.NodeID, stream uint64, ch chainRef, ar *SegArena, sc *scratch) (mesh.SegPath, Stats) {
+	if s == t {
+		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}
 	}
-	sc.segs = segs
-
-	st := Stats{
-		RandomBits:   sc.rng.BitsUsed(),
-		BridgeHeight: sel.dc.HeightOf(br.Level),
-		BridgeType:   br.Type,
-		ChainLen:     len(chain),
-	}
-	sp := mesh.SegPath{Start: s, Segs: segs}
-	st.RawLen = sp.Len()
-
+	segs, st := sel.buildSegs(s, t, stream, ch, sc)
 	var out mesh.SegPath
 	if sel.opt.KeepCycles {
 		out = mesh.SegPath{Start: s, Segs: segCopy(ar, segs)}
@@ -75,35 +68,39 @@ func (sel *Selector) constructSegArena(s, t mesh.NodeID, stream uint64, ar *SegA
 	return out, st
 }
 
-// constructSegScored is constructSegInto for candidate racing: the
-// compressed result ALIASES buf (returned grown for reuse) instead of
-// being exact-size copied, and the maximum snapshot load over its
-// edges comes fused out of the excision walk
-// (mesh.CompressCyclesSegMax) — no second scan, no expansion. The
-// k-sample engine races k of these and pays the caller-owned copy only
-// for the candidate it commits. Requires !KeepCycles; the committed
-// path is byte-identical to constructSegInto's for the same stream.
-func (sel *Selector) constructSegScored(s, t mesh.NodeID, stream uint64, snapshot []int64, buf []mesh.Seg, sc *scratch) (mesh.SegPath, Stats, []mesh.Seg, int64) {
-	if s == t {
-		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}, buf, 0
-	}
-	chain, br, waypoints, perm := sel.prepare(s, t, stream, sc)
-
+// buildSegs draws the packet's randomness against the resolved chain
+// ch and emits the raw dim-by-dim runs between consecutive waypoints
+// into sc.segs, returning them with every Stats field but Len.
+func (sel *Selector) buildSegs(s, t mesh.NodeID, stream uint64, ch chainRef, sc *scratch) ([]mesh.Seg, Stats) {
+	waypoints, perm := sel.draw(s, t, stream, ch, sc)
 	segs := sc.segs[:0]
 	for i := 1; i < len(waypoints); i++ {
 		segs = sel.m.AppendStaircaseSegs(segs, waypoints[i-1], waypoints[i], perm)
 	}
 	sc.segs = segs
-
-	st := Stats{
+	return segs, Stats{
 		RandomBits:   sc.rng.BitsUsed(),
-		BridgeHeight: sel.dc.HeightOf(br.Level),
-		BridgeType:   br.Type,
-		ChainLen:     len(chain),
+		BridgeHeight: sel.dc.HeightOf(ch.br.Level),
+		BridgeType:   ch.br.Type,
+		ChainLen:     len(ch.boxes),
+		RawLen:       mesh.SegPath{Start: s, Segs: segs}.Len(),
 	}
-	sp := mesh.SegPath{Start: s, Segs: segs}
-	st.RawLen = sp.Len()
+}
 
+// constructSegScored is constructSegChain for candidate racing: the
+// compressed result ALIASES buf (returned grown for reuse) instead of
+// being exact-size copied, and the maximum snapshot load over its
+// edges comes fused out of the excision walk
+// (mesh.CompressCyclesSegMax) — no second scan, no expansion. The
+// k-sample engine races k of these over one resolved chain and pays
+// the caller-owned copy only for the candidate it commits. Requires
+// !KeepCycles; the committed path is byte-identical to
+// constructSegInto's for the same stream.
+func (sel *Selector) constructSegScored(s, t mesh.NodeID, stream uint64, ch chainRef, snapshot []int64, buf []mesh.Seg, sc *scratch) (mesh.SegPath, Stats, []mesh.Seg, int64) {
+	if s == t {
+		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}, buf, 0
+	}
+	segs, st := sel.buildSegs(s, t, stream, ch, sc)
 	out, buf, maxLoad := sel.m.CompressCyclesSegMax(s, segs, &sc.cyc, buf, snapshot)
 	st.Len = out.Len()
 	return out, st, buf, maxLoad

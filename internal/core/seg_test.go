@@ -18,10 +18,11 @@ func expandAll(m *mesh.Mesh, sps []mesh.SegPath) []mesh.Path {
 }
 
 // TestSegGoldenEquality is the acceptance bar of the representation
-// change: for every variant, seed, cache setting and engine (serial
+// change: for every variant, seed, chain backend and engine (serial
 // and parallel), expanding the segment selector's output must be
 // byte-identical to the legacy hop selector's paths, with identical
-// aggregates.
+// aggregates. cacheOff=false runs the default backend (the compiled
+// table), cacheOff=true the ChainSourceNone recompute.
 func TestSegGoldenEquality(t *testing.T) {
 	for _, c := range cacheEquivCases() {
 		for _, seed := range []uint64{1, 42, 7777} {
@@ -30,7 +31,9 @@ func TestSegGoldenEquality(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					opt := c.opt
 					opt.Seed = seed
-					opt.DisableChainCache = cacheOff
+					if cacheOff {
+						opt.ChainSource = ChainSourceNone
+					}
 					sel := MustNewSelector(c.m, opt)
 					prob := workload.RandomPermutation(c.m, seed+3)
 

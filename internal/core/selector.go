@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"obliviousmesh/internal/bitrand"
-	"obliviousmesh/internal/chaincache"
 	"obliviousmesh/internal/decomp"
 	"obliviousmesh/internal/mesh"
 	"obliviousmesh/internal/metrics"
@@ -34,28 +33,19 @@ import (
 type ChainSource int
 
 const (
-	// ChainSourceDefault keeps the historical behavior: the sharded
-	// chain cache unless DisableChainCache is set.
-	ChainSourceDefault ChainSource = iota
-	// ChainSourceCache memoizes chains in the sharded LRU
-	// (internal/chaincache): bounded memory, per-lookup hashing and
-	// locking, recomputation on miss.
-	ChainSourceCache
-	// ChainSourceTable compiles the full per-level decomposition into
-	// flat arrays at construction (internal/routetab): every warm
-	// dispatch is lock-free index arithmetic, at the cost of an
-	// up-front build and a footprint proportional to the submesh count.
-	ChainSourceTable
-	// ChainSourceNone recomputes the chain for every packet (ablation).
+	// ChainSourceTable (the default) resolves chains from the compiled
+	// per-level interval tables of internal/routetab: a build of
+	// microseconds, a footprint of kilobytes, and lock-free,
+	// allocation-free warm dispatch at every mesh size.
+	ChainSourceTable ChainSource = iota
+	// ChainSourceNone recomputes the chain from the decomposition for
+	// every packet: the reference the golden-equality suites compare
+	// the table against.
 	ChainSourceNone
 )
 
 func (cs ChainSource) String() string {
 	switch cs {
-	case ChainSourceDefault:
-		return "default"
-	case ChainSourceCache:
-		return "cache"
 	case ChainSourceTable:
 		return "table"
 	case ChainSourceNone:
@@ -64,20 +54,18 @@ func (cs ChainSource) String() string {
 	return fmt.Sprintf("ChainSource(%d)", int(cs))
 }
 
-// ParseChainSource parses a -chainsource flag value. The empty string
-// and "default" mean ChainSourceDefault.
+// ParseChainSource parses a -chainsource flag value; the empty string
+// means the default, ChainSourceTable.
 func ParseChainSource(s string) (ChainSource, error) {
 	switch s {
-	case "", "default":
-		return ChainSourceDefault, nil
-	case "cache":
-		return ChainSourceCache, nil
-	case "table":
+	case "", "table":
 		return ChainSourceTable, nil
 	case "none":
 		return ChainSourceNone, nil
+	case "cache":
+		return 0, fmt.Errorf(`chain source "cache" was removed; use "table" (the default) or "none"`)
 	}
-	return 0, fmt.Errorf("unknown chain source %q (want cache, table or none)", s)
+	return 0, fmt.Errorf("unknown chain source %q (want table or none)", s)
 }
 
 // Variant selects between the paper's two constructions.
@@ -141,28 +129,11 @@ type Options struct {
 	// the E23 ablation of the paper's constant.
 	BridgeFactor float64
 
-	// DisableChainCache turns off the sharded chain-interning layer
-	// (ablation). By default the selector memoizes the bitonic chain,
-	// bridge and reservoir size per (s, t) — the structural part of
-	// algorithm H, which is a pure function of the endpoints — and
-	// recomputes only the random waypoint draws per packet. Cached and
-	// uncached selection return bit-identical paths. Equivalent to
-	// ChainSource: ChainSourceNone; combining it with an explicit
-	// ChainSourceCache is rejected by NewSelector.
-	DisableChainCache bool
-
-	// ChainCacheSize bounds the resident interned chains (0 means
-	// chaincache.DefaultCapacity). Least-recently-used chains are
-	// evicted beyond the bound. Only meaningful under ChainSourceCache.
-	ChainCacheSize int
-
-	// ChainSource picks the chain backend: the sharded LRU cache
-	// (default), the compiled routing table of internal/routetab, or
-	// per-packet recomputation. All three select byte-identical paths —
-	// they are evaluation strategies for the same pure function, and
-	// the golden-equality suite pins that. Table mode trades an
-	// up-front compile and a measurable footprint (RouteTableStats) for
-	// lock-free, allocation-free warm dispatch.
+	// ChainSource picks the chain backend: the compiled routing table
+	// of internal/routetab (the zero value) or per-packet
+	// recomputation. Both select byte-identical paths — they are
+	// evaluation strategies for the same pure function, and the
+	// golden-equality suite pins that.
 	ChainSource ChainSource
 
 	// KSample is the semi-oblivious candidate count of the k-sample
@@ -191,14 +162,13 @@ type Stats struct {
 
 // Selector selects oblivious paths on a square power-of-two mesh.
 // A selector is safe for concurrent use: per-call scratch buffers come
-// from an internal pool and the chain cache is sharded.
+// from an internal pool and the compiled table is read-only.
 type Selector struct {
 	m     *mesh.Mesh
 	dc    *decomp.Decomposition
 	opt   Options
-	cache *chaincache.Cache // interned chains; nil unless ChainSourceCache
-	table *routetab.Table   // compiled chains; nil unless ChainSourceTable
-	pool  sync.Pool         // *scratch
+	table *routetab.Table // compiled chains; nil under ChainSourceNone
+	pool  sync.Pool       // *scratch
 }
 
 // NewSelector builds a selector for m with the given options.
@@ -214,31 +184,17 @@ func NewSelector(m *mesh.Mesh, opt Options) (*Selector, error) {
 	if opt.KSample < 0 {
 		return nil, fmt.Errorf("core: Options.KSample must be >= 0 (got %d)", opt.KSample)
 	}
-	src := opt.ChainSource
-	switch src {
-	case ChainSourceDefault:
-		src = ChainSourceCache
-		if opt.DisableChainCache {
-			src = ChainSourceNone
-		}
-	case ChainSourceCache:
-		if opt.DisableChainCache {
-			return nil, fmt.Errorf("core: ChainSource cache conflicts with DisableChainCache")
-		}
-	case ChainSourceTable, ChainSourceNone:
-	default:
-		return nil, fmt.Errorf("core: unknown chain source %v", opt.ChainSource)
-	}
 	sel := &Selector{m: m, dc: dc, opt: opt}
-	switch src {
-	case ChainSourceCache:
-		sel.cache = chaincache.New(opt.ChainCacheSize, 0)
+	switch opt.ChainSource {
 	case ChainSourceTable:
 		sel.table = routetab.Build(dc, routetab.Config{
 			DCA:          !opt.DisableBridges && opt.Variant == Variant2D,
 			BridgeFactor: opt.BridgeFactor,
 			Type1Only:    opt.DisableBridges,
 		})
+	case ChainSourceNone:
+	default:
+		return nil, fmt.Errorf("core: unknown chain source %v", opt.ChainSource)
 	}
 	sel.pool.New = func() interface{} { return sel.newScratch() }
 	return sel, nil
@@ -264,43 +220,47 @@ func (sel *Selector) Options() Options { return sel.opt }
 
 // Chain returns the bitonic chain of submeshes the algorithm would use
 // for (s, t), and the bridge. Exposed for tests and diagnostics; the
-// boxes may be served from the chain cache or the compiled table, so
-// they must be treated as read-only.
+// boxes are the caller's own.
 func (sel *Selector) Chain(s, t mesh.NodeID) ([]mesh.Box, decomp.Bridge) {
 	sc := sel.getScratch()
-	chain, br, _ := sel.chainFor(s, t, sc)
-	if sel.table != nil {
-		// Table chains assemble into scratch memory; detach before the
-		// scratch returns to the pool (the boxes themselves are
-		// interned and immutable).
-		chain = append([]mesh.Box(nil), chain...)
-	}
+	ch := sel.chainFor(s, t, sc)
+	chain, br := cloneChain(ch.boxes, ch.br)
 	sel.putScratch(sc)
 	return chain, br
 }
 
-// chainFor returns the chain for (s, t) plus the precomputed §5.3
-// reservoir size, resolved through the configured chain source. The
-// chain is a pure function of the endpoints under a fixed selector
-// configuration, which is what makes both interning and compilation
-// sound: every source returns exactly the boxes a recompute would.
-// Table-mode chains assemble into sc's chain buffer and are only valid
-// until sc's next use.
-func (sel *Selector) chainFor(s, t mesh.NodeID, sc *scratch) ([]mesh.Box, decomp.Bridge, int) {
+// cloneChain deep-copies a chain and its bridge: table-mode boxes
+// live in scratch memory that the next packet on the same scratch
+// overwrites.
+func cloneChain(chain []mesh.Box, br decomp.Bridge) ([]mesh.Box, decomp.Bridge) {
+	out := make([]mesh.Box, len(chain))
+	for i, b := range chain {
+		out[i] = mesh.Box{Lo: b.Lo.Clone(), Hi: b.Hi.Clone()}
+	}
+	br.Box = mesh.Box{Lo: br.Box.Lo.Clone(), Hi: br.Box.Hi.Clone()}
+	return out, br
+}
+
+// chainRef is a resolved bitonic chain: its boxes, the bridge and the
+// precomputed §5.3 reservoir size.
+type chainRef struct {
+	boxes   []mesh.Box
+	br      decomp.Bridge
+	capBits int
+}
+
+// chainFor resolves the chain for (s, t) through the configured chain
+// source. The chain is a pure function of the endpoints under a fixed
+// selector configuration, which is what makes compilation sound: both
+// sources return exactly the same boxes. Table-mode chains assemble
+// into sc and are only valid until sc's next chainFor.
+func (sel *Selector) chainFor(s, t mesh.NodeID, sc *scratch) chainRef {
 	if sel.table != nil {
-		chain, br, capBits := sel.table.Chain(s, t, sc.chain)
-		sc.chain = chain
-		return chain, br, capBits
+		chain, br, capBits := sel.table.Chain(s, t, &sc.tab)
+		return chainRef{chain, br, capBits}
 	}
-	if sel.cache == nil {
-		chain, br := sel.computeChain(s, t)
-		return chain, br, chainCapBits(chain)
-	}
-	e := sel.cache.GetOrCompute(chaincache.Key{S: s, T: t}, func() *chaincache.Entry {
-		chain, br := sel.computeChain(s, t)
-		return &chaincache.Entry{Chain: chain, Bridge: br, CapBits: chainCapBits(chain)}
-	})
-	return e.Chain, e.Bridge, e.CapBits
+	chain, br := sel.computeChain(s, t)
+	return chainRef{chain, br, chainCapBits(chain)}
 }
 
 // computeChain builds the chain from the decomposition (the uncached
@@ -333,17 +293,8 @@ func chainCapBits(chain []mesh.Box) int {
 	return capBits
 }
 
-// ChainCacheStats returns a snapshot of the chain cache's counters;
-// ok is false when the cache is disabled.
-func (sel *Selector) ChainCacheStats() (metrics.CacheStats, bool) {
-	if sel.cache == nil {
-		return metrics.CacheStats{}, false
-	}
-	return sel.cache.Stats(), true
-}
-
 // RouteTableStats returns the compiled routing table's size figures;
-// ok is false unless the selector runs with ChainSourceTable.
+// ok is false under ChainSourceNone.
 func (sel *Selector) RouteTableStats() (metrics.TableStats, bool) {
 	if sel.table == nil {
 		return metrics.TableStats{}, false

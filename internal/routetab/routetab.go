@@ -1,36 +1,29 @@
 // Package routetab compiles the hierarchical decomposition into flat
-// routing tables. The bitonic chain a packet (s, t) routes through —
-// climb boxes, bridge, §5.3 reservoir size — is a pure function of the
-// mesh, the decomposition and the bridge rule, so instead of memoizing
-// chains pair by pair in a locked LRU (internal/chaincache) the whole
-// per-level structure can be compiled once at selector construction:
+// per-level interval tables. The bitonic chain a packet (s, t) routes
+// through — climb boxes, bridge, §5.3 reservoir size — is a pure
+// function of the mesh, the decomposition and the bridge rule, and
+// every regular submesh is a cartesian product of one 1-D interval per
+// dimension (the translation is diagonal and the mesh square), so the
+// whole structure compresses to one 1-D table per (level, family):
 //
-//   - every regular submesh of every (level, family) is materialized
-//     exactly once in one interned box pool, its coordinates backed by
-//     a single flat array, its ⌈log₂ MaxSide⌉ precomputed;
-//   - every coordinate value x is mapped, per (level, family), to the
-//     dense index of the 1-D interval containing it (the translation
-//     is diagonal and the mesh square, so one table serves all
-//     dimensions);
-//   - every node's coordinate vector is predecoded.
+//   - the dense id of the interval containing each coordinate value
+//     x ∈ [0, side);
+//   - each interval's clipped bounds (extended past side-1 on tori,
+//     where translated boxes wrap), its clipped-end count and
+//     ⌈log₂ length⌉.
 //
-// Because the boxes of one (level, family) partition the mesh — on the
-// torus the translated families tile each ring exactly, on the open
-// mesh the clipped intervals tile [0, side) — "does the box of s
-// contain t" collapses to "do s and t share the cell index", and the
-// bridge search of §3.2/§4.1 becomes a table compare per level instead
-// of box construction plus containment tests. Warm dispatch is then
-// index arithmetic and pool loads: no hashing, no locks, no LRU
-// bookkeeping, no allocation (chains assemble into a caller buffer).
+// That is O(levels · families · side) small integers — about 100 KiB
+// at side 1024. Because the boxes of one (level, family) partition the
+// mesh, "does the box of s contain t" collapses to "do s and t share
+// the interval id in every dimension", so the bridge search of
+// §3.2/§4.1 is a table compare per level. The chain's boxes are then
+// written straight into a caller-owned Buf: warm dispatch is coordinate
+// decoding, index arithmetic and stores — no hashing, no locks, no
+// allocation.
 //
-// A Table is immutable after Build. That is the zero-mutable-state
-// story the ROADMAP's meshgate cluster needs: tables can be shared
-// read-only across any number of goroutines, serialized or rebuilt
-// bit-identically on any backend from (mesh, options), and never drift
-// the way a cache's resident set does. The price is footprint — the
-// pool holds every submesh of every level, O(n) boxes summed over
-// levels plus O(n·d) predecoded coordinates — which Stats exposes so
-// the size-vs-speed tradeoff against the LRU stays measurable.
+// A Table is immutable after Build and can be shared read-only across
+// any number of goroutines; it rebuilds bit-identically on any backend
+// from (mesh, options) in under a millisecond.
 package routetab
 
 import (
@@ -58,15 +51,16 @@ type Config struct {
 	Type1Only bool
 }
 
-// famTab is the compiled form of one (level, family): the per-
-// coordinate 1-D cell index, the family's slot in the interned pool,
-// and the discarded cells of the 2-D corner rule.
+// famTab is the compiled form of one (level, family): the 1-D interval
+// table shared by every dimension.
 type famTab struct {
-	j         int     // family index (1 = type-1)
-	numCells  int     // distinct 1-D intervals per dimension
-	cell      []int32 // per coordinate x ∈ [0, side): dense interval id
-	cellBase  int     // pool index of this family's flat cell 0
-	discarded []bool  // per flat cell; nil when nothing is discarded
+	cell   []int32 // per coordinate x ∈ [0, side): dense interval id
+	lo, hi []int32 // per interval: clipped (torus: extended) bounds
+	clips  []uint8 // per interval: clipped ends (open mesh)
+	bits   []uint8 // per interval: ⌈log₂(hi-lo+1)⌉
+	// corner marks a Mode2D translated family, whose boxes with ≥ 2
+	// clipped ends in total are discarded (§3.1 corner rule).
+	corner bool
 }
 
 // Table is a compiled routing table; build with Build, then read-only.
@@ -77,191 +71,125 @@ type Table struct {
 	side    int
 	wrapDim bool // square mesh: every dimension wraps or none does
 
-	coords  []int32    // n×d predecoded node coordinates
-	levels  [][]famTab // [level][family-1]
-	boxes   []mesh.Box // interned pool over all (level, family) cells
-	capBits []uint8    // per pool box: ⌈log₂ MaxSide⌉
-	backing []int      // flat Lo/Hi storage the pool boxes point into
-	bytes   int64      // resident footprint of all flat arrays
+	levels [][]famTab // [level][family-1]
+	cells  int64      // 1-D intervals over all (level, family)
+	bytes  int64      // resident footprint of all tables
 }
 
 // Build compiles dc under cfg. The decomposition has already validated
 // the mesh (square, power-of-two side on tori), so Build cannot fail;
-// cost is one pass over all submeshes of all levels.
+// cost is one pass over [0, side) per (level, family).
 func Build(dc *decomp.Decomposition, cfg Config) *Table {
 	m := dc.Mesh()
-	d := m.Dim()
 	t := &Table{
 		m: m, cfg: cfg,
-		d: d, k: dc.K(), side: m.Side(0),
+		d: m.Dim(), k: dc.K(), side: m.Side(0),
 		wrapDim: m.WrapDim(0),
 	}
-
-	// Predecode every node's coordinates.
-	n := m.Size()
-	t.coords = make([]int32, n*d)
-	c := make(mesh.Coord, d)
-	for u := 0; u < n; u++ {
-		m.CoordInto(mesh.NodeID(u), c)
-		for i, v := range c {
-			t.coords[u*d+i] = int32(v)
-		}
-	}
-
-	// Compile every (level, family) and intern its boxes.
 	t.levels = make([][]famTab, dc.Levels())
+	t.bytes = int64(unsafe.Sizeof(*t))
 	for level := 0; level <= t.k; level++ {
 		nt := dc.NumTypes(level)
 		t.levels[level] = make([]famTab, nt)
 		for j := 1; j <= nt; j++ {
-			t.levels[level][j-1] = t.buildFamily(dc, level, j)
-		}
-	}
-
-	t.bytes = int64(len(t.coords))*4 +
-		int64(len(t.boxes))*int64(unsafe.Sizeof(mesh.Box{})) +
-		int64(len(t.capBits)) +
-		int64(len(t.backing))*int64(unsafe.Sizeof(int(0)))
-	for _, fams := range t.levels {
-		for fi := range fams {
-			t.bytes += int64(len(fams[fi].cell))*4 + int64(len(fams[fi].discarded))
+			f := t.buildFamily(dc, level, j)
+			t.levels[level][j-1] = f
+			t.cells += int64(len(f.lo))
+			t.bytes += int64(unsafe.Sizeof(f)) + int64(len(f.cell)+len(f.lo)+len(f.hi))*4 +
+				int64(len(f.clips)+len(f.bits))
 		}
 	}
 	return t
 }
 
-// buildFamily compiles one (level, family): the 1-D interval table and
-// the family's interned boxes, appended to the global pool. The
-// interval arithmetic replicates decomp.TypeContaining exactly (the
-// equivalence is pinned by the exhaustive golden tests).
+// buildFamily compiles one (level, family). The interval arithmetic
+// replicates decomp.TypeContaining exactly (the equivalence is pinned
+// by the exhaustive golden tests): the family's intervals are
+// [a, a+ml-1] for every anchor a ≡ shift (mod ml), clipped to the mesh
+// on open meshes; on tori the interval straddling 0 wraps and keeps
+// its anchor in [0, side).
 func (t *Table) buildFamily(dc *decomp.Decomposition, level, j int) famTab {
 	ml := dc.SideAt(level)
 	shift := ((j - 1) * dc.Lambda(level)) % ml
 	wrap := t.m.Wrap()
 
-	f := famTab{j: j, cell: make([]int32, t.side), cellBase: len(t.boxes)}
-	// 1-D pass: assign dense interval ids by anchor and record each
-	// interval's clipped bounds for the cartesian box build below.
-	idOf := make(map[int]int32)
-	var lo1, hi1 []int // per id, final (clipped) interval
-	var clip1 []int    // per id, number of clipped ends (open mesh)
-	for x := 0; x < t.side; x++ {
-		var a, b, clips int
-		if j == 1 {
-			a = (x / ml) * ml
-			b = a + ml - 1
-			if !wrap && b > t.side-1 {
-				b = t.side - 1
-				clips++
-			}
-		} else if wrap {
-			a = x - ((x-shift)%ml+ml)%ml
-			if a < 0 {
-				a += t.side
-			}
-			b = a + ml - 1 // extended interval; may reach past side-1
-		} else {
-			a = x - ((x-shift)%ml+ml)%ml
-			b = a + ml - 1
-			if a < 0 {
-				a = 0
-				clips++
-			}
-			if b > t.side-1 {
-				b = t.side - 1
-				clips++
-			}
-		}
-		id, ok := idOf[a]
-		if !ok {
-			id = int32(len(lo1))
-			idOf[a] = id
-			lo1, hi1, clip1 = append(lo1, a), append(hi1, b), append(clip1, clips)
-		}
-		f.cell[x] = id
+	n := t.side/ml + 2
+	f := famTab{
+		cell:   make([]int32, t.side),
+		lo:     make([]int32, 0, n),
+		hi:     make([]int32, 0, n),
+		clips:  make([]uint8, 0, n),
+		bits:   make([]uint8, 0, n),
+		corner: dc.Mode() == decomp.Mode2D && j > 1,
 	}
-	f.numCells = len(lo1)
-
-	// Cartesian pass: intern one box per flat cell. Discarded corners
-	// (Mode2D, translated family, ≥ 2 clipped ends) keep their slot so
-	// flat-cell indexing stays dense, but hold no box.
-	cells := 1
-	for i := 0; i < t.d; i++ {
-		cells *= f.numCells
+	// Anchors run from the one covering coordinate 0, in (-ml, 0].
+	a := shift
+	if a > 0 {
+		a -= ml
 	}
-	ids := make([]int, t.d)
-	for flat := 0; flat < cells; flat++ {
-		rem := flat
-		clips := 0
-		for i := 0; i < t.d; i++ {
-			ids[i] = rem % f.numCells
-			rem /= f.numCells
-			clips += clip1[ids[i]]
-		}
-		if dc.Mode() == decomp.Mode2D && j > 1 && clips >= 2 {
-			if f.discarded == nil {
-				f.discarded = make([]bool, cells)
+	for ; a < t.side; a += ml {
+		lo, hi, clips := a, a+ml-1, 0
+		id := int32(len(f.lo))
+		switch {
+		case wrap && a < 0:
+			lo, hi = a+t.side, a+t.side+ml-1
+		case wrap && id > 0 && int(f.lo[0]) == a:
+			id = 0 // back in the wrapped interval
+		case !wrap:
+			if lo < 0 {
+				lo = 0
+				clips++
 			}
-			f.discarded[flat] = true
-			t.boxes = append(t.boxes, mesh.Box{})
-			t.capBits = append(t.capBits, 0)
-			continue
+			if hi > t.side-1 {
+				hi = t.side - 1
+				clips++
+			}
 		}
-		base := len(t.backing)
-		for i := 0; i < t.d; i++ {
-			t.backing = append(t.backing, lo1[ids[i]])
+		if id == int32(len(f.lo)) {
+			f.lo = append(f.lo, int32(lo))
+			f.hi = append(f.hi, int32(hi))
+			f.clips = append(f.clips, uint8(clips))
+			f.bits = append(f.bits, uint8(ceilLog2(hi-lo+1)))
 		}
-		for i := 0; i < t.d; i++ {
-			t.backing = append(t.backing, hi1[ids[i]])
+		for x := max(a, 0); x <= min(a+ml-1, t.side-1); x++ {
+			f.cell[x] = id
 		}
-		box := mesh.Box{
-			Lo: t.backing[base : base+t.d : base+t.d],
-			Hi: t.backing[base+t.d : base+2*t.d : base+2*t.d],
-		}
-		t.boxes = append(t.boxes, box)
-		t.capBits = append(t.capBits, uint8(ceilLog2(box.MaxSide())))
 	}
 	return f
 }
 
-// flatCell returns the pool-relative flat cell index of the node with
-// coordinates c (a coords row) in family f.
-func (f *famTab) flatCell(c []int32) int {
-	flat, stride := 0, 1
-	for _, x := range c {
-		flat += int(f.cell[x]) * stride
-		stride *= f.numCells
-	}
-	return flat
+// Buf is the caller-owned assembly space of Chain: the decoded
+// endpoint coordinates and the chain's boxes, whose Lo/Hi slices point
+// into one flat backing array. The zero value is ready to use; buffers
+// grow to the longest chain seen and are then reused. One Buf serves
+// one goroutine at a time, and every Chain call overwrites what the
+// previous one returned.
+type Buf struct {
+	sc, tc  mesh.Coord
+	chain   []mesh.Box
+	backing []int
 }
 
-// sameCell reports whether two nodes share f's submesh — the partition
-// property makes this equivalent to box containment — returning the
-// shared flat cell index on a match.
-func (f *famTab) sameCell(sc, tc []int32) (int, bool) {
-	flat, stride := 0, 1
+// contains reports whether the box of f around the coordinate vector
+// sc also contains tc and is not a discarded corner.
+func (f *famTab) contains(sc, tc mesh.Coord) bool {
+	clips := 0
 	for i := range sc {
 		a := f.cell[sc[i]]
 		if a != f.cell[tc[i]] {
-			return 0, false
+			return false
 		}
-		flat += int(a) * stride
-		stride *= f.numCells
+		clips += int(f.clips[a])
 	}
-	return flat, true
+	return !f.corner || clips < 2
 }
 
-// coordRow returns node u's predecoded coordinates.
-func (t *Table) coordRow(u mesh.NodeID) []int32 {
-	return t.coords[int(u)*t.d : (int(u)+1)*t.d]
-}
-
-// dist returns the wrap-aware L1 distance between two coordinate rows
-// (the same value as mesh.Dist on the node ids).
-func (t *Table) dist(sc, tc []int32) int {
+// dist returns the wrap-aware L1 distance between two coordinate
+// vectors (the same value as mesh.Dist on the node ids).
+func (t *Table) dist(sc, tc mesh.Coord) int {
 	total := 0
 	for i := range sc {
-		diff := int(sc[i] - tc[i])
+		diff := sc[i] - tc[i]
 		if diff < 0 {
 			diff = -diff
 		}
@@ -273,65 +201,51 @@ func (t *Table) dist(sc, tc []int32) int {
 	return total
 }
 
-// Chain assembles the bitonic chain for (s, t) into buf (reused,
-// truncated first) and returns it with the bridge and the chain's
-// ⌈log₂ max side⌉ reservoir size — the same triple, box for box, that
-// the uncached construction computes. The returned boxes alias the
-// table's interned pool and buf's backing array: treat them as
-// read-only and do not retain buf across calls.
-func (t *Table) Chain(s, tt mesh.NodeID, buf []mesh.Box) ([]mesh.Box, decomp.Bridge, int) {
-	sc, tc := t.coordRow(s), t.coordRow(tt)
-	var br decomp.Bridge
-	var brRef int // pool index of the bridge box
-	h := 0        // climb height: type-1 boxes at heights 0..h-1 (DCA) or 0..h (§4.1)
-	climbTop := -1
+// Chain assembles the bitonic chain for (s, u) into b and returns it
+// with the bridge and the chain's ⌈log₂ max side⌉ reservoir size — the
+// same triple, box for box, that the uncompiled construction computes.
+// The returned boxes, including the bridge's, alias b: they are valid
+// until b's next use.
+func (t *Table) Chain(s, u mesh.NodeID, b *Buf) ([]mesh.Box, decomp.Bridge, int) {
+	if len(b.sc) != t.d {
+		b.sc, b.tc = make(mesh.Coord, t.d), make(mesh.Coord, t.d)
+	}
+	sc, tc := b.sc, b.tc
+	t.m.CoordInto(s, sc)
+	t.m.CoordInto(u, tc)
 
+	// Bridge (level, family) and climb height: type-1 boxes at heights
+	// 0..climbTop on both sides of the bridge.
+	brLevel, brFam := t.k, 0
+	climbTop := -1
 	switch {
 	case t.cfg.Type1Only:
 		// Access-tree ablation: lowest type-1 common ancestor.
-		for ; h <= t.k; h++ {
-			f := &t.levels[t.k-h][0]
-			if flat, ok := f.sameCell(sc, tc); ok {
-				br = decomp.Bridge{Level: t.k - h, Type: 1}
-				brRef = f.cellBase + flat
-				break
-			}
+		h := 0
+		for ; h <= t.k && !t.levels[t.k-h][0].contains(sc, tc); h++ {
 		}
+		brLevel = t.k - h
 		climbTop = h - 1
 	case t.cfg.DCA:
 		// §3.2: deepest regular submesh containing both endpoints; scan
 		// from the leaves upward, families in order, first match wins.
 	dca:
 		for level := t.k; level >= 0; level-- {
-			fams := t.levels[level]
-			for fi := range fams {
-				f := &fams[fi]
-				flat, ok := f.sameCell(sc, tc)
-				if !ok {
-					continue
+			for fi := range t.levels[level] {
+				if t.levels[level][fi].contains(sc, tc) {
+					brLevel, brFam = level, fi
+					break dca
 				}
-				if f.discarded != nil && f.discarded[flat] {
-					continue
-				}
-				br = decomp.Bridge{Level: level, Type: f.j}
-				brRef = f.cellBase + flat
-				h = t.k - level
-				break dca
 			}
 		}
-		climbTop = h - 1
+		climbTop = t.k - brLevel - 1
 	default:
 		// §4.1: bridge of side ≥ factor·2(d+1)·dist at height ĥ+1,
 		// moving up a level whenever no family of the height contains
 		// both endpoints (mesh-boundary fallback of Lemma 4.1).
 		dist := t.dist(sc, tc)
 		if dist == 0 {
-			f := &t.levels[t.k][0]
-			br = decomp.Bridge{Level: t.k, Type: 1}
-			brRef = f.cellBase + f.flatCell(sc)
-			buf = append(buf[:0], t.boxes[brRef])
-			br.Box = t.boxes[brRef]
-			return buf, br, int(t.capBits[brRef])
+			break // s = u: the chain is the leaf alone
 		}
 		factor := t.cfg.BridgeFactor
 		if factor <= 0 {
@@ -341,71 +255,60 @@ func (t *Table) Chain(s, tt mesh.NodeID, buf []mesh.Box) ([]mesh.Box, decomp.Bri
 		if target < 1 {
 			target = 1
 		}
-		height := ceilLog2(target) + 1
-		if height > t.k {
-			height = t.k
-		}
+		height := min(ceilLog2(target)+1, t.k)
 	sized:
 		for bh := height; bh <= t.k; bh++ {
-			fams := t.levels[t.k-bh]
-			for fi := range fams {
-				f := &fams[fi]
-				flat, ok := f.sameCell(sc, tc)
-				if !ok {
-					continue
+			for fi := range t.levels[t.k-bh] {
+				if t.levels[t.k-bh][fi].contains(sc, tc) {
+					brLevel, brFam = t.k-bh, fi
+					break sized
 				}
-				if f.discarded != nil && f.discarded[flat] {
-					continue
-				}
-				br = decomp.Bridge{Level: t.k - bh, Type: f.j}
-				brRef = f.cellBase + flat
-				break sized
 			}
 		}
-		h = ceilLog2(dist)
-		if bh := t.k - br.Level; h >= bh {
-			h = bh - 1
-		}
-		climbTop = h
+		climbTop = min(ceilLog2(dist), t.k-brLevel-1)
 	}
 
-	br.Box = t.boxes[brRef]
-	capBits := int(t.capBits[brRef])
-	if climbTop < 0 {
-		// Bridge at height 0: the chain is the leaf box alone.
-		buf = append(buf[:0], br.Box)
-		return buf, br, capBits
+	// Size the buffers once, so no box's Lo/Hi outlives a regrowth.
+	n := 2*(climbTop+1) + 1
+	if need := 2 * t.d * n; cap(b.backing) < need {
+		b.backing = make([]int, need)
 	}
-	buf = buf[:0]
-	buf, capBits = t.appendType1(buf, sc, 0, climbTop, capBits)
-	buf = append(buf, br.Box)
-	buf, capBits = t.appendType1(buf, tc, climbTop, 0, capBits)
-	return buf, br, capBits
+	if cap(b.chain) < n {
+		b.chain = make([]mesh.Box, n)
+	}
+	chain := b.chain[:n]
+	capBits := 0
+	for h := 0; h <= climbTop; h++ {
+		capBits = t.put(chain, b.backing, h, &t.levels[t.k-h][0], sc, capBits)
+	}
+	capBits = t.put(chain, b.backing, climbTop+1, &t.levels[brLevel][brFam], sc, capBits)
+	for h := climbTop; h >= 0; h-- {
+		capBits = t.put(chain, b.backing, n-1-h, &t.levels[t.k-h][0], tc, capBits)
+	}
+	br := decomp.Bridge{Box: chain[climbTop+1], Level: brLevel, Type: brFam + 1}
+	return chain, br, capBits
 }
 
-// appendType1 appends the type-1 boxes of the coordinate row c at
-// heights hFrom..hTo inclusive (either direction), folding the boxes'
-// reservoir sizes into capBits.
-func (t *Table) appendType1(buf []mesh.Box, c []int32, hFrom, hTo, capBits int) ([]mesh.Box, int) {
-	step := 1
-	if hTo < hFrom {
-		step = -1
-	}
-	for h := hFrom; ; h += step {
-		f := &t.levels[t.k-h][0]
-		ref := f.cellBase + f.flatCell(c)
-		buf = append(buf, t.boxes[ref])
-		if cb := int(t.capBits[ref]); cb > capBits {
-			capBits = cb
-		}
-		if h == hTo {
-			return buf, capBits
+// put writes chain[i] as f's box around the coordinate vector c, its
+// Lo/Hi carved from the i-th 2d-int slot of backing, and folds the
+// box's reservoir size into capBits.
+func (t *Table) put(chain []mesh.Box, backing []int, i int, f *famTab, c mesh.Coord, capBits int) int {
+	d := t.d
+	lo := backing[2*d*i : 2*d*i+d : 2*d*i+d]
+	hi := backing[2*d*i+d : 2*d*(i+1) : 2*d*(i+1)]
+	for dim, x := range c {
+		id := f.cell[x]
+		lo[dim], hi[dim] = int(f.lo[id]), int(f.hi[id])
+		if bits := int(f.bits[id]); bits > capBits {
+			capBits = bits
 		}
 	}
+	chain[i] = mesh.Box{Lo: lo, Hi: hi}
+	return capBits
 }
 
-// Stats reports the table's compiled size: interned boxes and resident
-// bytes across all flat arrays.
+// Stats reports the table's compiled size: 1-D intervals and resident
+// bytes across all (level, family) tables.
 func (t *Table) Stats() metrics.TableStats {
 	fams := 0
 	for _, l := range t.levels {
@@ -414,7 +317,7 @@ func (t *Table) Stats() metrics.TableStats {
 	return metrics.TableStats{
 		Levels:   len(t.levels),
 		Families: fams,
-		Boxes:    int64(len(t.boxes)),
+		Cells:    t.cells,
 		Bytes:    t.bytes,
 	}
 }

@@ -105,27 +105,11 @@ func TestChainMatchesDecomp(t *testing.T) {
 			if tc.pairs > 0 && n*n > tc.pairs {
 				stride = n*n/tc.pairs + 1
 			}
-			var buf []mesh.Box
+			var buf Buf
 			checked := 0
 			for p := 0; p < n*n; p += stride {
-				s, u := mesh.NodeID(p/n), mesh.NodeID(p%n)
-				wantChain, wantBr := refChain(dc, tc.cfg, s, u)
-				var gotBr decomp.Bridge
-				var gotCap int
-				buf, gotBr, gotCap = tab.Chain(s, u, buf)
-				if len(buf) != len(wantChain) {
-					t.Fatalf("(%d,%d): chain len %d, want %d", s, u, len(buf), len(wantChain))
-				}
-				for i := range buf {
-					if !buf[i].Equal(wantChain[i]) {
-						t.Fatalf("(%d,%d): chain[%d] = %v, want %v", s, u, i, buf[i], wantChain[i])
-					}
-				}
-				if !gotBr.Box.Equal(wantBr.Box) || gotBr.Level != wantBr.Level || gotBr.Type != wantBr.Type {
-					t.Fatalf("(%d,%d): bridge %+v, want %+v", s, u, gotBr, wantBr)
-				}
-				if want := refCapBits(wantChain); gotCap != want {
-					t.Fatalf("(%d,%d): capBits %d, want %d", s, u, gotCap, want)
+				if err := checkChain(tab, dc, tc.cfg, &buf, mesh.NodeID(p/n), mesh.NodeID(p%n)); err != nil {
+					t.Fatal(err)
 				}
 				checked++
 			}
@@ -136,21 +120,43 @@ func TestChainMatchesDecomp(t *testing.T) {
 	}
 }
 
+// checkChain compares one compiled chain with the uncompiled
+// construction: every box, the bridge's level, family and box, and the
+// reservoir size.
+func checkChain(tab *Table, dc *decomp.Decomposition, cfg Config, buf *Buf, s, u mesh.NodeID) error {
+	wantChain, wantBr := refChain(dc, cfg, s, u)
+	got, gotBr, gotCap := tab.Chain(s, u, buf)
+	if len(got) != len(wantChain) {
+		return fmt.Errorf("(%d,%d): chain len %d, want %d", s, u, len(got), len(wantChain))
+	}
+	for i := range got {
+		if !got[i].Equal(wantChain[i]) {
+			return fmt.Errorf("(%d,%d): chain[%d] = %v, want %v", s, u, i, got[i], wantChain[i])
+		}
+	}
+	if !gotBr.Box.Equal(wantBr.Box) || gotBr.Level != wantBr.Level || gotBr.Type != wantBr.Type {
+		return fmt.Errorf("(%d,%d): bridge %+v, want %+v", s, u, gotBr, wantBr)
+	}
+	if want := refCapBits(wantChain); gotCap != want {
+		return fmt.Errorf("(%d,%d): capBits %d, want %d", s, u, gotCap, want)
+	}
+	return nil
+}
+
 // TestChainReusesBuffer pins the zero-allocation contract of warm
-// dispatch: with a warmed buffer, Chain neither allocates nor returns
-// fresh backing.
+// dispatch: with a warmed Buf, Chain does not allocate.
 func TestChainReusesBuffer(t *testing.T) {
 	m := mesh.MustSquare(2, 16)
 	dc := decomp.MustNew(m, decomp.Mode2D)
 	tab := Build(dc, Config{DCA: true})
-	buf := make([]mesh.Box, 0, 64)
+	var buf Buf
 	pairs := [][2]mesh.NodeID{{0, 255}, {3, 97}, {200, 10}, {255, 0}}
 	for _, p := range pairs {
-		buf, _, _ = tab.Chain(p[0], p[1], buf)
+		tab.Chain(p[0], p[1], &buf)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, p := range pairs {
-			buf, _, _ = tab.Chain(p[0], p[1], buf)
+			tab.Chain(p[0], p[1], &buf)
 		}
 	})
 	if allocs != 0 {
@@ -158,7 +164,9 @@ func TestChainReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestStats sanity-checks the compiled footprint figures.
+// TestStats sanity-checks the compiled footprint figures: one 1-D
+// interval per distinct box extent along an axis, and a footprint of
+// kilobytes.
 func TestStats(t *testing.T) {
 	m := mesh.MustSquare(2, 16)
 	dc := decomp.MustNew(m, decomp.Mode2D)
@@ -167,32 +175,35 @@ func TestStats(t *testing.T) {
 	if st.Levels != dc.Levels() {
 		t.Fatalf("levels = %d, want %d", st.Levels, dc.Levels())
 	}
-	if st.Boxes <= int64(m.Size()) {
-		t.Fatalf("boxes = %d, want > %d (at least the leaf level)", st.Boxes, m.Size())
+	fams := 0
+	for l := 0; l <= dc.K(); l++ {
+		fams += dc.NumTypes(l)
 	}
-	if st.Bytes <= 0 {
-		t.Fatalf("bytes = %d, want > 0", st.Bytes)
+	if st.Families != fams {
+		t.Fatalf("families = %d, want %d", st.Families, fams)
+	}
+	// Every family's intervals tile one axis, so the count per family is
+	// the number of distinct Lo values of its boxes along dimension 0.
+	var cells int64
+	for l := 0; l <= dc.K(); l++ {
+		lo := map[int]map[int]bool{}
+		dc.EnumerateLevel(l, func(j int, b mesh.Box) {
+			if lo[j] == nil {
+				lo[j] = map[int]bool{}
+			}
+			lo[j][b.Lo[0]] = true
+		})
+		for _, xs := range lo {
+			cells += int64(len(xs))
+		}
+	}
+	if st.Cells != cells {
+		t.Fatalf("cells = %d, want %d", st.Cells, cells)
+	}
+	if st.Bytes <= 0 || st.Bytes > 16<<10 {
+		t.Fatalf("bytes = %d, want a few KiB", st.Bytes)
 	}
 	if s := fmt.Sprint(st); s == "" {
 		t.Fatal("empty stats string")
-	}
-	// Every non-discarded enumerated submesh must be interned: compare
-	// against the decomposition's own census, plus discarded slots.
-	total := 0
-	for l := 0; l <= dc.K(); l++ {
-		total += dc.CountLevel(l)
-	}
-	discarded := 0
-	for _, fams := range tab.levels {
-		for fi := range fams {
-			for _, d := range fams[fi].discarded {
-				if d {
-					discarded++
-				}
-			}
-		}
-	}
-	if st.Boxes != int64(total+discarded) {
-		t.Fatalf("boxes = %d, want %d enumerated + %d discarded", st.Boxes, total, discarded)
 	}
 }

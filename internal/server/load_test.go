@@ -22,9 +22,8 @@ import (
 // below the shed threshold, zero dropped responses, and the /metrics
 // counters agree exactly with the client's observed totals.
 //
-// The matrix covers every chain backend (the test historically ran
-// only the default table backend, leaving ChainSource=none untested
-// under load) plus a k-sample arm, whose books must balance just as
+// The matrix covers both chain backends plus a k-sample arm, whose
+// books must balance just as
 // exactly: semi-oblivious re-draws change which path each packet
 // takes, never how many packets or traversals are accounted.
 func TestLoadLoopback(t *testing.T) {
@@ -34,7 +33,6 @@ func TestLoadLoopback(t *testing.T) {
 		ksample int
 	}{
 		{"table", "table", 1},
-		{"cache", "cache", 1},
 		{"none", "none", 1},
 		{"ksample4", "table", 4},
 	} {

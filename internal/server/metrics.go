@@ -39,7 +39,7 @@ func (c *ksampleCounters) add(ks core.KStats) {
 // handleMetrics renders the live counters in a flat text exposition
 // (Prometheus-style `name{labels} value` lines): per-endpoint request
 // and latency counters, admission-gate gauges, the LiveLoads top-k hot
-// edges with the live congestion, and the chain-cache health. Every
+// edges with the live congestion, and the routing-table footprint. Every
 // figure is read with atomic loads while traffic is in flight — the
 // scrape is a consistent-enough rolling view, never a stop-the-world.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -108,22 +108,13 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "meshrouted_ksample_commit_score_max %d\n", s.kc.maxCommitScore.Load())
 	}
 
-	if cs, ok := s.sel.ChainCacheStats(); ok {
-		fmt.Fprintf(w, "meshrouted_chain_cache_hits_total %d\n", cs.Hits)
-		fmt.Fprintf(w, "meshrouted_chain_cache_misses_total %d\n", cs.Misses)
-		fmt.Fprintf(w, "meshrouted_chain_cache_evictions_total %d\n", cs.Evictions)
-		fmt.Fprintf(w, "meshrouted_chain_cache_entries %d\n", cs.Entries)
-		fmt.Fprintf(w, "meshrouted_chain_cache_capacity %d\n", cs.Capacity)
-		fmt.Fprintf(w, "meshrouted_chain_cache_hit_rate %.6f\n", cs.HitRate())
-	}
-
-	// Compiled routing table (chain source "table"): no hit/miss
-	// dynamics, only the size of the precompiled state — the figure the
-	// size-vs-speed tradeoff against the LRU is judged on.
+	// Compiled routing table (the default chain source; absent under
+	// "none"): no hit/miss dynamics, only the size of the precompiled
+	// state.
 	if ts, ok := s.sel.RouteTableStats(); ok {
 		fmt.Fprintf(w, "meshrouted_route_table_levels %d\n", ts.Levels)
 		fmt.Fprintf(w, "meshrouted_route_table_families %d\n", ts.Families)
-		fmt.Fprintf(w, "meshrouted_route_table_boxes %d\n", ts.Boxes)
+		fmt.Fprintf(w, "meshrouted_route_table_cells %d\n", ts.Cells)
 		fmt.Fprintf(w, "meshrouted_route_table_bytes %d\n", ts.Bytes)
 	}
 }

@@ -54,12 +54,10 @@ type Config struct {
 	// serve identical paths.
 	Seed    uint64
 	General bool // force the §4 construction on 2-D meshes
-	// DisableChainCache turns off the (s,t)→chain memoization.
-	DisableChainCache bool
-	// ChainSource picks the selector's chain backend: "" or "default"
-	// (cache unless DisableChainCache), "cache", "table" (compiled
-	// routing table: lock-free warm dispatch, footprint on /metrics) or
-	// "none". Every backend serves byte-identical paths.
+	// ChainSource picks the selector's chain backend: "" or "table"
+	// (the compiled routing table: lock-free warm dispatch, footprint
+	// on /metrics) or "none" (recompute per packet). Both serve
+	// byte-identical paths.
 	ChainSource string
 	// PathFormat selects the JSON representation of selected paths:
 	// "hops" (the default) answers /v1/batch with node-id arrays,
@@ -192,8 +190,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	src, _ := core.ParseChainSource(cfg.ChainSource) // validated by fill
 	sel, err := core.NewSelector(cfg.Mesh, core.Options{
-		Variant: v, Seed: cfg.Seed, DisableChainCache: cfg.DisableChainCache,
-		ChainSource: src, KSample: cfg.KSample,
+		Variant: v, Seed: cfg.Seed, ChainSource: src, KSample: cfg.KSample,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)

@@ -368,7 +368,7 @@ func TestMetricsExposition(t *testing.T) {
 		"meshrouted_live_congestion ",
 		"meshrouted_live_traversals_total ",
 		"meshrouted_edge_load{rank=\"0\",",
-		"meshrouted_chain_cache_hits_total ",
+		"meshrouted_route_table_bytes ",
 		"meshrouted_admission_in_flight 0",
 		"meshrouted_draining 0",
 	} {
@@ -389,18 +389,18 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestChainSourceTable runs a daemon on the compiled routing table:
-// served paths must match a cache-backed replica byte for byte (the
+// served paths must match a recomputing replica byte for byte (the
 // replayability contract holds across backends), and /metrics must
-// expose the table footprint instead of chain-cache dynamics.
+// expose the table footprint — only where a table exists.
 func TestChainSourceTable(t *testing.T) {
 	_, tts := newTestServer(t, Config{Seed: 5, ChainSource: "table"})
-	_, cts := newTestServer(t, Config{Seed: 5})
+	_, nts := newTestServer(t, Config{Seed: 5, ChainSource: "none"})
 
 	req := batchRequest{Pairs: [][2]int{{0, 63}, {63, 0}, {7, 42}, {11, 11}}}
 	_, tbody := postJSON(t, tts.URL+"/v1/batch", req)
-	_, cbody := postJSON(t, cts.URL+"/v1/batch", req)
-	if !bytes.Equal(tbody, cbody) {
-		t.Fatalf("table-backed batch differs from cache-backed:\n%s\nvs\n%s", tbody, cbody)
+	_, nbody := postJSON(t, nts.URL+"/v1/batch", req)
+	if !bytes.Equal(tbody, nbody) {
+		t.Fatalf("table-backed batch differs from recompute:\n%s\nvs\n%s", tbody, nbody)
 	}
 
 	mresp, err := http.Get(tts.URL + "/metrics")
@@ -413,15 +413,21 @@ func TestChainSourceTable(t *testing.T) {
 	for _, want := range []string{
 		"meshrouted_route_table_levels ",
 		"meshrouted_route_table_families ",
-		"meshrouted_route_table_boxes ",
+		"meshrouted_route_table_cells ",
 		"meshrouted_route_table_bytes ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("table metrics missing %q:\n%s", want, text)
 		}
 	}
-	if strings.Contains(text, "meshrouted_chain_cache_") {
-		t.Errorf("table-backed server exposes chain-cache metrics:\n%s", text)
+	mresp, err = http.Get(nts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if strings.Contains(string(body), "meshrouted_route_table_") {
+		t.Errorf("recomputing server exposes table metrics:\n%s", body)
 	}
 }
 
@@ -432,8 +438,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Mesh: mesh.MustSquare(2, 8), ChainSource: "lru"}); err == nil {
 		t.Fatal("bad ChainSource accepted")
 	}
-	if _, err := New(Config{Mesh: mesh.MustSquare(2, 8), ChainSource: "cache", DisableChainCache: true}); err == nil {
-		t.Fatal("ChainSource cache + DisableChainCache accepted")
+	if _, err := New(Config{Mesh: mesh.MustSquare(2, 8), ChainSource: "cache"}); err == nil || !strings.Contains(err.Error(), `"cache"`) {
+		t.Fatalf("removed ChainSource cache: error %v, want one naming it", err)
 	}
 	srv, err := New(Config{Mesh: mesh.MustSquare(2, 8)})
 	if err != nil {

@@ -57,15 +57,12 @@ type (
 	// EdgeObserver receives each packet's edges during fused batch
 	// selection (see SelectAllObserved).
 	EdgeObserver = core.Observer
-	// CacheStats is a snapshot of the router's chain-cache counters
-	// (hits, misses, evictions, residency); see Router.ChainCacheStats.
-	CacheStats = metrics.CacheStats
 	// TableStats is a snapshot of the router's compiled routing-table
-	// size (levels, interned boxes, resident bytes); see
+	// size (levels, families, 1-D cells, resident bytes); see
 	// Router.RouteTableStats.
 	TableStats = metrics.TableStats
-	// ChainSource selects the router's chain backend: the sharded LRU
-	// cache, the compiled routing table, or per-packet recomputation.
+	// ChainSource selects the router's chain backend: the compiled
+	// routing table (default) or per-packet recomputation.
 	ChainSource = core.ChainSource
 	// KSampleStats is the sampling accounting of the semi-oblivious
 	// k-sample mode: candidates drawn, re-draw wins, and the committed
@@ -73,16 +70,12 @@ type (
 	KSampleStats = core.KStats
 )
 
-// Chain-source values for RouterOptions.ChainSource. All three backends
-// select byte-identical paths; they trade memory for dispatch cost.
+// Chain-source values for RouterOptions.ChainSource. Both backends
+// select byte-identical paths.
 const (
-	// ChainSourceDefault is the cache unless DisableChainCache is set.
-	ChainSourceDefault = core.ChainSourceDefault
-	// ChainSourceCache memoizes chains in the sharded LRU.
-	ChainSourceCache = core.ChainSourceCache
-	// ChainSourceTable compiles the full decomposition up front: warm
-	// dispatch with no hashing, locks or allocation, at a memory
-	// footprint reported by Router.RouteTableStats.
+	// ChainSourceTable (the default) compiles the decomposition into
+	// per-level interval tables of a few KiB: warm dispatch with no
+	// hashing, locks or allocation; see Router.RouteTableStats.
 	ChainSourceTable = core.ChainSourceTable
 	// ChainSourceNone recomputes every chain (ablation).
 	ChainSourceNone = core.ChainSourceNone
@@ -96,19 +89,10 @@ type RouterOptions struct {
 	// 2-dimensional meshes. By default 2-D meshes use the specialized
 	// §3 construction (stretch ≤ 64) and higher dimensions use §4.
 	General bool
-	// DisableChainCache turns off the sharded (s, t) → bitonic-chain
-	// memoization layer (ablation; on by default). Cached and uncached
-	// routers select byte-identical paths for identical seeds and
-	// streams — the cache interns the structural part of algorithm H,
-	// not its randomness. Inspect effectiveness with
-	// Router.ChainCacheStats.
-	DisableChainCache bool
-	// ChainSource overrides the chain backend: ChainSourceTable
-	// compiles the whole decomposition into flat arrays at construction
-	// (fastest warm dispatch, measurable footprint via
-	// Router.RouteTableStats), ChainSourceCache is the LRU,
-	// ChainSourceNone recomputes per packet. The default follows
-	// DisableChainCache. Every backend selects byte-identical paths.
+	// ChainSource overrides the chain backend: ChainSourceTable (the
+	// zero value) resolves chains from compiled interval tables,
+	// ChainSourceNone recomputes them per packet. Both select
+	// byte-identical paths.
 	ChainSource ChainSource
 	// KSample enables semi-oblivious k-sample selection: each packet
 	// draws KSample independent algorithm-H candidates and the
@@ -140,9 +124,8 @@ func NewRouter(m *Mesh, opt RouterOptions) (*Router, error) {
 	}
 	return core.NewSelector(m, core.Options{
 		Variant: v, Seed: opt.Seed,
-		DisableChainCache: opt.DisableChainCache,
-		ChainSource:       opt.ChainSource,
-		KSample:           opt.KSample,
+		ChainSource: opt.ChainSource,
+		KSample:     opt.KSample,
 	})
 }
 

@@ -13,9 +13,9 @@ import (
 // TestSoakLargePermutation routes a full 128x128 permutation (16384
 // packets) through the parallel engine and checks every invariant at
 // scale: path validity, the Theorem 3.4 stretch bound, the Theorem 3.9
-// congestion envelope, and bit budgets — under every chain backend
-// (none, cache, table), which must stay byte-identical to each other
-// even at this scale. Guarded by -short.
+// congestion envelope, and bit budgets — under both chain backends
+// (none, table), which must stay byte-identical to each other even at
+// this scale. Guarded by -short.
 func TestSoakLargePermutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in short mode")
@@ -27,7 +27,7 @@ func TestSoakLargePermutation(t *testing.T) {
 
 	var golden []mesh.Path
 	var goldenAgg core.Aggregate
-	for _, src := range []core.ChainSource{core.ChainSourceNone, core.ChainSourceCache, core.ChainSourceTable} {
+	for _, src := range []core.ChainSource{core.ChainSourceNone, core.ChainSourceTable} {
 		sel := core.MustNewSelector(m, core.Options{
 			Variant: core.Variant2D, Seed: 99, ChainSource: src,
 		})
