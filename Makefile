@@ -22,6 +22,7 @@ FUZZ_TARGETS := \
 	internal/mesh:FuzzRemoveCycles \
 	internal/mesh:FuzzEdgeBetween \
 	internal/invariant:FuzzCheckedPath \
+	internal/metrics:FuzzLiveLoadsRuns \
 	internal/serial:FuzzLoadProblem \
 	internal/serial:FuzzLoadRun \
 	internal/serial:FuzzWirePaths \
@@ -89,12 +90,16 @@ bench-json:
 # per request of the batch-then-encode loop on the side-256 mesh — and
 # the splice budget: the gateway's zero-copy wire2 fan-in must allocate
 # <= 0.25x the bytes per batch of the decode/re-encode merge on a
-# 2048-pair side-256 batch over three shards.
+# 2048-pair side-256 batch over three shards — and the live booking
+# budget: booking a side-256 permutation batch into LiveLoads with
+# AddSegPath (two atomics per run) must cost <= 0.5x the non-atomic
+# per-hop recount AccumulateEdgeLoadsSeg of the same paths.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^TestBenchGatePathSelect2D$$' -v .
 	$(GO) test -run '^TestBenchGateSelectAllSegTable$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateKSample$$' -v ./internal/core
+	$(GO) test -run '^TestBenchGateLiveBooking$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateServerPipeline$$' -v ./internal/server
 	$(GO) test -run '^TestBenchGateGatewaySplice$$' -v ./internal/gateway
 

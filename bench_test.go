@@ -326,8 +326,10 @@ func BenchmarkSelectAndAccount(b *testing.B) {
 			live := metrics.NewLiveLoads(m, 0)
 			for i := 0; i < b.N; i++ {
 				live.Reset()
-				sel.SelectAllParallelInto(prob.Pairs, 0, paths, func(pkt int, e mesh.EdgeID) {
-					live.Add(uint64(pkt), e)
+				sel.SelectAllParallelIntoHooks(prob.Pairs, 0, paths, core.Hooks{
+					Path: func(pkt int, _ mesh.Pair, p mesh.Path, _ core.Stats) {
+						live.AddPath(m, uint64(pkt), p)
+					},
 				})
 				sink = live
 			}

@@ -56,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"obliviousmesh/internal/cli"
 	"obliviousmesh/internal/gateway"
 )
 
@@ -188,7 +189,7 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: g.Handler()}
+	hs := cli.NewHTTPServer(g.Handler())
 	fmt.Fprintf(stdout, "meshgate: %v via %d backends, max batch %d, listening on http://%s\n",
 		g.Mesh(), len(backendList(cfg.backends)), g.MaxBatch(), ln.Addr())
 

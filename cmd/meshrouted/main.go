@@ -209,7 +209,7 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	hs := &http.Server{Handler: handler}
+	hs := cli.NewHTTPServer(handler)
 	fmt.Fprintf(stdout, "meshrouted: %v seed=%d listening on http://%s\n",
 		m, cfg.seed, ln.Addr())
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"obliviousmesh/internal/mesh"
+	"obliviousmesh/internal/metrics"
 	"obliviousmesh/internal/workload"
 )
 
@@ -124,6 +125,57 @@ func TestBenchGateSelectAllSegTable(t *testing.T) {
 			def, none, none/def, minTableSpeedup)
 	}
 	t.Logf("default (table) %.0f ns/op, recompute %.0f ns/op: %.2fx", def, none, none/def)
+}
+
+// TestBenchGateLiveBooking is the CI benchmark gate for live load
+// accounting: booking the side-256 headline permutation into a
+// LiveLoads tracker with AddSegPath — two atomic adds per run — must
+// cost at most maxBookingRatio times the plain, non-atomic per-hop
+// recount AccumulateEdgeLoadsSeg of the same paths, measured in the
+// same run. A per-hop booking loop (one atomic add per hop) costs about
+// 1.6 times the recount; a regression to it fails here.
+func TestBenchGateLiveBooking(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark gate is not a -short test")
+	}
+	if raceEnabled {
+		t.Skip("race runtime distorts ns/op; the gate runs in the non-race suite")
+	}
+	// The run-length tracker measured about 0.3x on a 2-vCPU x86-64
+	// container (a side-256 path is ~17 runs for ~390 hops).
+	const maxBookingRatio = 0.5
+	m := mesh.MustSquare(2, 256)
+	prob := workload.RandomPermutation(m, 3)
+	sps, _ := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1}).SelectAllSeg(prob.Pairs)
+	live := metrics.NewLiveLoads(m, 2)
+	loads := make([]int64, m.EdgeSpace())
+	// Best of two runs per mode: scheduler noise only ever adds time.
+	measure := func(body func()) float64 {
+		best := 0.0
+		for rep := 0; rep < 2; rep++ {
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					body()
+				}
+			})
+			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
+				best = ns
+			}
+		}
+		return best
+	}
+	book := measure(func() {
+		for i, sp := range sps {
+			live.AddSegPath(m, uint64(i), sp)
+		}
+	})
+	recount := measure(func() { metrics.AccumulateEdgeLoadsSeg(m, sps, loads) })
+	sink = loads
+	if book > maxBookingRatio*recount {
+		t.Fatalf("AddSegPath side-256 batch: %.0f ns/op vs per-hop recount %.0f ns/op (%.2fx), want <= %.1fx",
+			book, recount, book/recount, maxBookingRatio)
+	}
+	t.Logf("AddSegPath %.0f ns/op, per-hop recount %.0f ns/op: %.2fx", book, recount, book/recount)
 }
 
 // BenchmarkSelectAllParallel measures the parallel fused engine under

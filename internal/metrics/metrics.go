@@ -56,6 +56,16 @@ func MaxLoad(loads []int64) int64 {
 	return max
 }
 
+// SumLoads returns the sum of an edge-load vector: the total number of
+// edge traversals Σ|p| it records.
+func SumLoads(loads []int64) int64 {
+	var t int64
+	for _, v := range loads {
+		t += v
+	}
+	return t
+}
+
 // ArgMaxLoad returns the edge with the maximum load and its load.
 func ArgMaxLoad(loads []int64) (mesh.EdgeID, int64) {
 	best := mesh.EdgeID(0)

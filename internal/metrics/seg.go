@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"sync/atomic"
-
 	"obliviousmesh/internal/decomp"
 	"obliviousmesh/internal/mesh"
 )
@@ -12,64 +10,6 @@ import (
 // along one dimension covers k consecutive edge IDs (stride apart in
 // the node part), so tallying it is a tight add-and-step loop — no
 // per-hop EdgeBetween, no expansion to a hop path.
-
-// AddRun records every edge of one axis-aligned run of |run| steps
-// from start along dim (sign of run is the direction) under one tag,
-// and returns the node the run ends at so consecutive runs chain.
-// Safe for concurrent use.
-//
-// AddRun accepts exactly the canonical runs the selector emits and
-// panics on anything else, matching AddPath's reject-don't-guess
-// stance: a run that walks past an open-mesh boundary (which includes
-// any nonzero run on a side-1 or side-2 dimension — those never wrap,
-// see mesh.WrapDim) panics "run leaves the mesh", and a run of
-// |run| ≥ side on a wrapping dimension panics "run laps the ring".
-// Lap runs are non-canonical — SegWalkEnd normalizes them modulo the
-// side and AppendStaircaseSegs never emits more than ⌊side/2⌋ steps —
-// so silently walking one would book ring edges more times than the
-// represented walk traverses them.
-func (l *LiveLoads) AddRun(m *mesh.Mesh, tag uint64, start mesh.NodeID, dim, run int) mesh.NodeID {
-	if run == 0 {
-		return start
-	}
-	counts := l.shards[tag&l.mask].counts
-	s := m.Side(dim)
-	st := m.Stride(dim)
-	wrap := m.WrapDim(dim)
-	base := dim * m.Size()
-	u := int(start)
-	ci := (u / st) % s
-	steps, dir := run, 1
-	if steps < 0 {
-		steps, dir = -steps, -1
-	}
-	if wrap && steps >= s {
-		panic("metrics: run laps the ring")
-	}
-	for k := 0; k < steps; k++ {
-		switch {
-		case dir > 0 && ci < s-1:
-			atomic.AddInt64(&counts[base+u], 1)
-			u += st
-			ci++
-		case dir > 0 && wrap:
-			atomic.AddInt64(&counts[base+u], 1)
-			u -= (s - 1) * st
-			ci = 0
-		case dir < 0 && ci > 0:
-			u -= st
-			ci--
-			atomic.AddInt64(&counts[base+u], 1)
-		case dir < 0 && wrap:
-			u += (s - 1) * st
-			ci = s - 1
-			atomic.AddInt64(&counts[base+u], 1)
-		default:
-			panic("metrics: run leaves the mesh")
-		}
-	}
-	return mesh.NodeID(u)
-}
 
 // MaxLoadRun returns the maximum load over the edges of one
 // axis-aligned run of |run| steps from start along dim against a plain
@@ -150,15 +90,30 @@ func SegPathMaxLoad(m *mesh.Mesh, loads []int64, sp mesh.SegPath) int64 {
 
 // AddSegPath records every edge of one run-length path under one tag —
 // the fused accounting step of a segment-native live router, the
-// counterpart of AddPath without the per-hop decode.
+// counterpart of AddPath without the per-hop decode: two atomic adds
+// per run (four for a run across a torus seam), whatever its length.
 func (l *LiveLoads) AddSegPath(m *mesh.Mesh, tag uint64, sp mesh.SegPath) {
 	if sp.Start < 0 {
 		return
 	}
-	u := sp.Start
-	for _, sg := range sp.Segs {
-		u = l.AddRun(m, tag, u, int(sg.Dim), int(sg.Run))
+	g := l.bind(m)
+	sh := tag & l.mask
+	var q spanQueue
+	// Track the walk's coordinates so no run needs a division.
+	var buf [8]int
+	coords := buf[:0]
+	if m.Dim() > len(buf) {
+		coords = make([]int, 0, m.Dim())
 	}
+	u := int(sp.Start)
+	for i := 0; i < m.Dim(); i++ {
+		coords = append(coords, u/m.Stride(i)%m.Side(i))
+	}
+	for _, sg := range sp.Segs {
+		d := int(sg.Dim)
+		u, coords[d] = l.addRun(&q, g, sh, u, coords[d], d, int(sg.Run))
+	}
+	q.flush()
 }
 
 // EdgeLoadsSeg is EdgeLoads for run-length paths: per-edge traversal

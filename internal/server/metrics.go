@@ -89,7 +89,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// scraped instead of printed.
 	snap := s.live.Snapshot()
 	fmt.Fprintf(w, "meshrouted_live_congestion %d\n", metrics.MaxLoad(snap))
-	fmt.Fprintf(w, "meshrouted_live_traversals_total %d\n", s.live.Total())
+	fmt.Fprintf(w, "meshrouted_live_traversals_total %d\n", metrics.SumLoads(snap))
 	for rank, el := range metrics.TopLoads(snap, s.cfg.TopK) {
 		fmt.Fprintf(w, "meshrouted_edge_load{rank=\"%d\",edge=%q} %d\n",
 			rank, s.m.EdgeString(el.Edge), el.Load)

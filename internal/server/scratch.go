@@ -28,6 +28,18 @@ func (s *Server) getJSONScratch() *jsonScratch {
 
 func (s *Server) putJSONScratch(sc *jsonScratch) { s.jsonPool.Put(sc) }
 
+// getLoadSnap returns a pooled EdgeSpace-long buffer for a k-sample
+// load snapshot; putLoadSnap returns it once scoring is done.
+func (s *Server) getLoadSnap() *[]int64 {
+	if b, ok := s.snapPool.Get().(*[]int64); ok {
+		return b
+	}
+	b := make([]int64, s.m.EdgeSpace())
+	return &b
+}
+
+func (s *Server) putLoadSnap(b *[]int64) { s.snapPool.Put(b) }
+
 // grow readies the flat backing for total ints and the header slice
 // for n rows, reusing capacity.
 func (sc *jsonScratch) grow(total, n int) {

@@ -172,11 +172,14 @@ type Server struct {
 
 	// pipe pools the wire2 pipeline's chunk buffers (*pipeBuf);
 	// jsonPool pools the JSON response scratch (*jsonScratch); reqPool
-	// pools the batch request parse scratch (*batchScratch). Together
-	// they make sequential requests allocation-free at steady state.
+	// pools the batch request parse scratch (*batchScratch); snapPool
+	// pools the k-sample /v1/route load snapshots (*[]int64 of
+	// EdgeSpace). Together they make sequential requests
+	// allocation-free at steady state.
 	pipe     sync.Pool
 	jsonPool sync.Pool
 	reqPool  sync.Pool
+	snapPool sync.Pool
 }
 
 // New builds a Server (and its Selector) from cfg.
@@ -199,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		m:       cfg.Mesh,
 		sel:     sel,
-		live:    metrics.NewLiveLoadsSize(cfg.Mesh.EdgeSpace(), cfg.LoadShards),
+		live:    metrics.NewLiveLoads(cfg.Mesh, cfg.LoadShards),
 		adm:     NewAdmitter(cfg.MaxInFlight, cfg.MaxQueue),
 		started: time.Now(),
 	}, nil
@@ -353,7 +356,11 @@ func (s *Server) doRoute(w http.ResponseWriter, r *http.Request) (code int, rout
 	if s.cfg.KSample > 1 {
 		// Semi-oblivious single route: score the candidates against the
 		// tracker as it stands right now, commit, book the winner.
-		sp, _, ks := s.sel.KSegPath(mesh.NodeID(req.S), mesh.NodeID(req.T), stream, s.live.Snapshot())
+		// The snapshot buffer is pooled: one EdgeSpace vector per
+		// request would be 16 MiB at side 1024.
+		buf := s.getLoadSnap()
+		sp, _, ks := s.sel.KSegPath(mesh.NodeID(req.S), mesh.NodeID(req.T), stream, s.live.SnapshotInto(*buf))
+		s.putLoadSnap(buf)
 		s.kc.add(ks)
 		s.live.AddSegPath(s.m, stream, sp)
 		p = sp.Expand(s.m)
@@ -428,7 +435,7 @@ func (s *Server) selectChunkHops(kq *kreq, pairs []mesh.Pair, base uint64, lo, h
 	}
 	kq.refresh(s)
 	_, ks := s.sel.SelectRangeParallelKSegBaseInto(pairs, kq.snap, base, lo, hi, s.cfg.BatchWorkers, kq.sps,
-		core.KSegHooks{Edge: hooks.Edge})
+		core.KSegHooks{Seg: s.segLiveHooks().Seg})
 	s.kc.add(ks)
 	for i := lo; i < hi; i++ {
 		paths[i] = kq.sps[i].Expand(s.m)
@@ -527,11 +534,11 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 		return s.jsonBatchSeg(ctx, w, kq, pairs, base)
 	}
 
-	// Fused routing+accounting: every edge crossing lands in the live
-	// tracker while the batch is being selected (the packet index
+	// Fused routing+accounting: every path lands in the live tracker
+	// run by run while the batch is being selected (the packet index
 	// spreads writers across counter shards).
-	hooks := core.Hooks{Edge: func(pkt int, e mesh.EdgeID) {
-		s.live.Add(uint64(pkt), e)
+	hooks := core.Hooks{Path: func(pkt int, _ mesh.Pair, p mesh.Path, _ core.Stats) {
+		s.live.AddPath(s.m, uint64(pkt), p)
 	}}
 	paths := make([]mesh.Path, len(pairs))
 
@@ -608,7 +615,7 @@ func (s *Server) streamBatchWire(ctx context.Context, w http.ResponseWriter, kq 
 // segLiveHooks is the accounting hook of the segment engines: every
 // routed path lands in the live tracker run by run (the packet index
 // spreads writers across counter shards), the segment counterpart of
-// the per-edge hook of the hop engines.
+// the per-path hook of the hop engines.
 func (s *Server) segLiveHooks() core.SegHooks {
 	return core.SegHooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
 		s.live.AddSegPath(s.m, uint64(pkt), sp)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,47 @@ func TestRouteEndpoint(t *testing.T) {
 	if rr2.Stream == rr.Stream {
 		t.Fatalf("stream id reused: %d", rr.Stream)
 	}
+}
+
+// TestRouteKSampleSnapshotPooled pins the memory of a sampling
+// /v1/route: each request scores its candidates against a load
+// snapshot, and that snapshot must come from a pooled buffer, not a
+// fresh EdgeSpace vector per request (16 MiB at side 1024).
+func TestRouteKSampleSnapshotPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime inflates allocation; the budget runs in the non-race suite")
+	}
+	m := mesh.MustSquare(2, 128)
+	srv, err := New(Config{Mesh: m, Seed: 3, KSample: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	route := func(i int) {
+		body := fmt.Sprintf(`{"s":%d,"t":%d}`, i%m.Size(), (i*7919+5)%m.Size())
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/route", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the pools
+		route(i)
+	}
+	const n = 40
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		route(i)
+	}
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if budget := float64(8*m.EdgeSpace()) / 8; perReq > budget {
+		t.Fatalf("sampling /v1/route allocates %.0f B/request, want <= %.0f (one snapshot is %d B)",
+			perReq, budget, 8*m.EdgeSpace())
+	}
+	t.Logf("sampling /v1/route: %.0f B/request (one snapshot is %d B)", perReq, 8*m.EdgeSpace())
 }
 
 func TestRouteEndpointErrors(t *testing.T) {

@@ -51,8 +51,9 @@ type (
 	// oblivious baselines.
 	PathSelector = baseline.PathSelector
 	// LiveLoads is the sharded streaming edge-load tracker: lock-free
-	// per-edge counters for accounting congestion while routing, the
-	// online counterpart of the batch Evaluate.
+	// run-length counters (two atomic adds per straight run) for
+	// accounting congestion while routing, the online counterpart of
+	// the batch Evaluate.
 	LiveLoads = metrics.LiveLoads
 	// EdgeObserver receives each packet's edges during fused batch
 	// selection (see SelectAllObserved).
@@ -175,11 +176,15 @@ func NewLiveLoads(m *Mesh, shards int) *LiveLoads {
 // SelectAllTracked routes a whole problem with algorithm H across all
 // CPUs, accounting every edge crossing into live during selection —
 // the fused routing+accounting pipeline. Congestion is then available
-// as live.Max() without a second pass over the paths.
+// as live.Max() without a second pass over the paths. Each path is
+// booked as it is finished, run by run (LiveLoads.AddPath).
 func SelectAllTracked(r *Router, pairs []Pair, live *LiveLoads) []Path {
+	m := r.Mesh()
 	paths := make([]Path, len(pairs))
-	r.SelectAllParallelInto(pairs, 0, paths, func(pkt int, e EdgeID) {
-		live.Add(uint64(pkt), e)
+	r.SelectAllParallelIntoHooks(pairs, 0, paths, core.Hooks{
+		Path: func(pkt int, _ Pair, p Path, _ RouterStats) {
+			live.AddPath(m, uint64(pkt), p)
+		},
 	})
 	return paths
 }
