@@ -20,6 +20,7 @@ FUZZ_TARGETS := \
 	internal/decomp:FuzzBridge \
 	internal/mesh:FuzzStaircasePath \
 	internal/mesh:FuzzRemoveCycles \
+	internal/mesh:FuzzLoopErase \
 	internal/mesh:FuzzEdgeBetween \
 	internal/invariant:FuzzCheckedPath \
 	internal/metrics:FuzzLiveLoadsRuns \
@@ -34,14 +35,14 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 
 .PHONY: build test vet race fuzz verify bench bench-json bench-smoke serve-smoke cluster-smoke cover
 
-# Committed benchmark baseline for the zero-copy shard-splice PR:
-# headline Path/SelectAll/SelectAllSeg/KSample benchmarks plus the
-# loopback ServerBatch, handler-level ServerBatchPipeline, and
-# gateway-level GatewayBatch (spliced vs decode fan-in) benchmarks
-# rendered to JSON (ns/op, B/op, allocs/op) via cmd/benchjson.
-# Compare against BENCH_PR9.json for the numbers before the splice
-# landed.
-BENCH_JSON ?= BENCH_PR10.json
+# Committed in-process benchmark baseline: headline
+# Path/SelectAll/SelectAllSeg/KSample benchmarks, the loop-erasure
+# kernel (Erase, per path at sides 64/256/1024), the loopback
+# ServerBatch, handler-level ServerBatchPipeline, and gateway-level
+# GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
+# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..10.json)
+# form the trajectory.
+BENCH_JSON ?= BENCH_PR16.json
 
 build:
 	$(GO) build ./...
@@ -74,7 +75,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPath|BenchmarkSelectAll|BenchmarkKSample|BenchmarkServer|BenchmarkGateway' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkPath|BenchmarkSelectAll|BenchmarkKSample|BenchmarkErase|BenchmarkServer|BenchmarkGateway' -benchmem \
 		. ./internal/core ./internal/server ./internal/gateway | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
 # One-iteration pass over every benchmark: catches benchmarks that
@@ -93,13 +94,17 @@ bench-json:
 # 2048-pair side-256 batch over three shards — and the live booking
 # budget: booking a side-256 permutation batch into LiveLoads with
 # AddSegPath (two atomics per run) must cost <= 0.5x the non-atomic
-# per-hop recount AccumulateEdgeLoadsSeg of the same paths.
+# per-hop recount AccumulateEdgeLoadsSeg of the same paths — and the
+# loop-erasure budget: erasing a recorded side-1024 Algorithm-H walk
+# must cost <= 2.5x erasing a side-256 one per path (cost follows
+# runs, which grow 1.3x, not hops, which grow 4.1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^TestBenchGatePathSelect2D$$' -v .
 	$(GO) test -run '^TestBenchGateSelectAllSegTable$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateKSample$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateLiveBooking$$' -v ./internal/core
+	$(GO) test -run '^TestBenchGateEraseScale$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateServerPipeline$$' -v ./internal/server
 	$(GO) test -run '^TestBenchGateGatewaySplice$$' -v ./internal/gateway
 

@@ -137,8 +137,8 @@ func (g *SegArenaGroup) Footprint() int {
 
 // segCopy commits a scratch-aliased segment slice: into ar when
 // non-nil, else as a private exact-size heap copy (the plain engines'
-// behaviour). Empty input commits as nil either way — matching
-// mesh.CompressCyclesSeg, whose empty result is nil Segs.
+// behaviour). Empty input commits as nil either way, the form
+// Path.Compress gives a single-node path.
 func segCopy(ar *SegArena, segs []mesh.Seg) []mesh.Seg {
 	if len(segs) == 0 {
 		return nil

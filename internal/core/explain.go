@@ -14,8 +14,9 @@ import (
 // chain, the bridge, the random waypoints, the per-hop staircase
 // segments and the dimension order. Reconstructing the path from the
 // trace (concatenate the segments, remove cycles) yields exactly
-// Path(s, t, stream) — guaranteed by construction, since Explain runs
-// the same code against the same randomness stream.
+// Path(s, t, stream): Explain draws the same chain and randomness as
+// the engines, and its hop-level cycle removal (RemoveCycles) is the
+// reference the engines' loop erasure on runs is pinned to.
 type Trace struct {
 	S, T      mesh.NodeID
 	Chain     []mesh.Box
@@ -31,48 +32,46 @@ type Trace struct {
 // Explain selects the path for (s, t, stream) and returns the full
 // decision trace.
 func (sel *Selector) Explain(s, t mesh.NodeID, stream uint64) Trace {
-	return sel.construct(s, t, stream, true)
+	return sel.construct(s, t, stream)
 }
 
 // PathStats is Path plus exact accounting.
 func (sel *Selector) PathStats(s, t mesh.NodeID, stream uint64) (mesh.Path, Stats) {
 	sc := sel.getScratch()
-	tr := sel.constructInto(s, t, stream, false, sc)
+	p, st := sel.constructPath(s, t, stream, sc)
 	sel.putScratch(sc)
-	return tr.Path, tr.Stats
+	return p, st
 }
 
-// scratch holds the per-worker reusable buffers of the fused batch
-// path: the per-packet randomness source and §5.3 reservoirs, the raw
-// (pre-cycle-removal) path, the waypoint, coordinate and
-// dimension-permutation vectors, and the cycle-removal index map. One
-// scratch serves one goroutine at a time; the buffers grow to the
-// largest packet seen and are then reused, so steady-state routing
-// allocates only the final path of each packet. Buffer reuse cannot
-// change results: the randomness of a packet depends only on
-// (seed, stream, s, t) and the rng is reseeded to exactly the Split
-// state for every packet.
+// scratch holds the per-worker reusable buffers of the engines: the
+// per-packet randomness source and §5.3 reservoirs, the waypoint
+// coordinates, the dimension permutation, the run buffers and the
+// loop-erasure stack, plus the raw walk and index map of Explain's
+// hop-level cycle removal. One scratch serves one goroutine at a time;
+// the buffers grow to the largest packet seen and are then reused, so
+// steady-state routing allocates only the final path of each packet.
+// Buffer reuse cannot change results: the randomness of a packet
+// depends only on (seed, stream, s, t) and the rng is reseeded to
+// exactly the Split state for every packet.
 type scratch struct {
 	rng    bitrand.Source
-	raw    mesh.Path
-	segs   []mesh.Seg   // run-length construction buffer
-	segs2  []mesh.Seg   // recompression buffer for the cycle fallback
-	segs3  []mesh.Seg   // second compression buffer: k-sample candidate double-buffering
-	tab    routetab.Buf // table-mode chain assembly space
-	wp     []mesh.NodeID
-	c      mesh.Coord
+	segs   []mesh.Seg    // raw run construction buffer
+	segs2  []mesh.Seg    // final (loop-erased) runs
+	segs3  []mesh.Seg    // second final-runs buffer: k-sample candidate double-buffering
+	er     mesh.EraseBuf // loop-erasure piece stack
+	tab    routetab.Buf  // table-mode chain assembly space
+	wp     []int         // waypoint coordinates, d per waypoint
 	perm   []int
 	r1, r2 *bitrand.Reservoir
-	last   map[mesh.NodeID]int
-	cyc    mesh.CycleBuf // dense cycle-excision state (segment engine)
-	scores []int64       // per-candidate scores of the k-sample engine
+	raw    mesh.Path           // Explain: raw walk
+	last   map[mesh.NodeID]int // Explain: cycle-removal index map
+	scores []int64             // per-candidate scores of the k-sample engine
 }
 
 // newScratch builds a scratch for one worker on sel's mesh.
 func (sel *Selector) newScratch() *scratch {
 	d := sel.m.Dim()
 	return &scratch{
-		c:    make(mesh.Coord, d),
 		perm: make([]int, d),
 		r1:   bitrand.NewReservoirBuf(d),
 		r2:   bitrand.NewReservoirBuf(d),
@@ -87,14 +86,27 @@ func (sel *Selector) newScratch() *scratch {
 func (sel *Selector) getScratch() *scratch   { return sel.pool.Get().(*scratch) }
 func (sel *Selector) putScratch(sc *scratch) { sel.pool.Put(sc) }
 
+// constructPath is the hop engine behind Path, PathStats and the fused
+// batch engines (SelectAllInto and friends): the segment engine's
+// final runs (selectRuns) expanded into an exact-size hop path, so
+// both representations select bit-for-bit identical paths.
+func (sel *Selector) constructPath(s, t mesh.NodeID, stream uint64, sc *scratch) (mesh.Path, Stats) {
+	if s == t {
+		return mesh.Path{s}, Stats{ChainLen: 1}
+	}
+	var st Stats
+	sc.segs2, st = sel.selectRuns(s, t, stream, sel.chainFor(s, t, sc), sc.segs2, sc)
+	sp := mesh.SegPath{Start: s, Segs: sc.segs2}
+	return sp.AppendExpand(sel.m, make(mesh.Path, 0, st.Len+1)), st
+}
+
 // construct runs the path-selection algorithm once with pooled
-// buffers; keepSegments additionally retains the per-hop structure for
-// Explain. Scratch-aliasing trace fields are cloned before the scratch
-// is released, so the returned trace is safe to retain.
-func (sel *Selector) construct(s, t mesh.NodeID, stream uint64, keepSegments bool) Trace {
+// buffers and records the full trace for Explain. Scratch-aliasing
+// trace fields are cloned before the scratch is released, so the
+// returned trace is safe to retain.
+func (sel *Selector) construct(s, t mesh.NodeID, stream uint64) Trace {
 	sc := sel.getScratch()
-	tr := sel.constructInto(s, t, stream, keepSegments, sc)
-	tr.Waypoints = append([]mesh.NodeID(nil), tr.Waypoints...)
+	tr := sel.explainInto(s, t, stream, sc)
 	tr.Perm = append([]int(nil), tr.Perm...)
 	if tr.Chain != nil {
 		tr.Chain, tr.Bridge = cloneChain(tr.Chain, tr.Bridge)
@@ -103,15 +115,13 @@ func (sel *Selector) construct(s, t mesh.NodeID, stream uint64, keepSegments boo
 	return tr
 }
 
-// constructInto is the single construction code path shared by
-// Explain, PathStats and the fused batch engines (SelectAllInto and
-// friends); traces stay authoritative by construction, and buffer
-// reuse lives here so every entry point selects bit-for-bit identical
-// paths. Only Trace.Path and Trace.Segments are safe to retain across
-// calls with the same scratch; Waypoints, Perm, Chain and Bridge.Box
-// alias scratch memory (construct clones them before the scratch
-// returns to the pool).
-func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments bool, sc *scratch) Trace {
+// explainInto is Explain's construction: the same chain and randomness
+// draw as the engines, then the per-waypoint hop staircases, their
+// concatenation and hop-level cycle removal (RemoveCyclesReuse). It
+// shares no excision code with the engines, which is what lets the
+// invariant engine replay it as an independent oracle for their
+// output. Perm, Chain and Bridge.Box alias scratch memory.
+func (sel *Selector) explainInto(s, t mesh.NodeID, stream uint64, sc *scratch) Trace {
 	if s == t {
 		return Trace{
 			S: s, T: t,
@@ -121,35 +131,24 @@ func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments
 			Stats:     Stats{ChainLen: 1},
 		}
 	}
-	ch, waypoints, perm := sel.prepare(s, t, stream, sc)
-
+	ch := sel.chainFor(s, t, sc)
+	wp, perm := sel.draw(s, t, stream, ch, sc)
+	d := sel.m.Dim()
 	tr := Trace{
 		S: s, T: t,
+		Chain:     ch.boxes,
 		Bridge:    ch.br,
-		Waypoints: waypoints,
+		Waypoints: make([]mesh.NodeID, len(ch.boxes)),
 		Perm:      perm,
 	}
-	var raw mesh.Path
-	if keepSegments {
-		// Cold path (Explain): materialize per-waypoint hop segments
-		// for the trace alongside the full raw walk.
-		raw = append(sc.raw[:0], s)
-		for i := 1; i < len(waypoints); i++ {
-			seg := sel.m.StaircasePath(waypoints[i-1], waypoints[i], perm)
-			tr.Segments = append(tr.Segments, seg)
-			raw = append(raw, seg[1:]...)
-		}
-		tr.Chain = ch.boxes
-	} else {
-		// Hot path: emit the dim-by-dim runs directly, then expand them
-		// into the raw walk with pure stride arithmetic — no per-hop
-		// Step call. The node sequence is identical by construction.
-		segs := sc.segs[:0]
-		for i := 1; i < len(waypoints); i++ {
-			segs = sel.m.AppendStaircaseSegs(segs, waypoints[i-1], waypoints[i], perm)
-		}
-		sc.segs = segs
-		raw = mesh.SegPath{Start: s, Segs: segs}.AppendExpand(sel.m, sc.raw[:0])
+	for i := range tr.Waypoints {
+		tr.Waypoints[i] = sel.m.Node(wp[i*d : i*d+d])
+	}
+	raw := append(sc.raw[:0], s)
+	for i := 1; i < len(tr.Waypoints); i++ {
+		seg := sel.m.StaircasePath(tr.Waypoints[i-1], tr.Waypoints[i], perm)
+		tr.Segments = append(tr.Segments, seg)
+		raw = append(raw, seg[1:]...)
 	}
 	sc.raw = raw // keep the grown capacity for the next packet
 	tr.Stats = Stats{
@@ -159,35 +158,22 @@ func (sel *Selector) constructInto(s, t mesh.NodeID, stream uint64, keepSegments
 		ChainLen:     len(ch.boxes),
 		RawLen:       raw.Len(),
 	}
-	var path mesh.Path
 	if sel.opt.KeepCycles {
-		path = append(make(mesh.Path, 0, len(raw)), raw...)
+		tr.Path = append(make(mesh.Path, 0, len(raw)), raw...)
 	} else {
-		path = raw.RemoveCyclesReuse(sc.last)
+		tr.Path = raw.RemoveCyclesReuse(sc.last)
 	}
-	tr.Stats.Len = path.Len()
-	tr.Path = path
-	if keepSegments {
-		tr.Seg = path.Compress(sel.m)
-	}
+	tr.Stats.Len = tr.Path.Len()
+	tr.Seg = tr.Path.Compress(sel.m)
 	return tr
-}
-
-// prepare runs the shared prelude of both path representations:
-// resolve the chain, then draw the packet's randomness against it. The
-// returned chain, waypoints and perm alias scratch memory.
-func (sel *Selector) prepare(s, t mesh.NodeID, stream uint64, sc *scratch) (chainRef, []mesh.NodeID, []int) {
-	ch := sel.chainFor(s, t, sc)
-	waypoints, perm := sel.draw(s, t, stream, ch, sc)
-	return ch, waypoints, perm
 }
 
 // draw reseeds the packet's randomness and draws the dimension order
 // and the random waypoints in the resolved chain ch. Stream is the
 // only input that varies between the k-sample candidates of one
 // packet, which is why they share one chain resolution. The returned
-// waypoints and perm alias scratch memory.
-func (sel *Selector) draw(s, t mesh.NodeID, stream uint64, ch chainRef, sc *scratch) ([]mesh.NodeID, []int) {
+// waypoint coordinates (d per waypoint) and perm alias scratch memory.
+func (sel *Selector) draw(s, t mesh.NodeID, stream uint64, ch chainRef, sc *scratch) ([]int, []int) {
 	rng := &sc.rng
 	rng.ReseedSplit(sel.opt.Seed, stream^(uint64(s)<<24)^uint64(t))
 	d := sel.m.Dim()

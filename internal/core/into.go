@@ -69,14 +69,14 @@ func (sel *Selector) selectRange(pairs []mesh.Pair, paths []mesh.Path, stream0 u
 	defer sel.putScratch(sc)
 	var agg Aggregate
 	for i := lo; i < hi; i++ {
-		tr := sel.constructInto(pairs[i].S, pairs[i].T, stream0+uint64(i), false, sc)
-		paths[i] = tr.Path
-		agg.Add(tr.Stats)
+		p, st := sel.constructPath(pairs[i].S, pairs[i].T, stream0+uint64(i), sc)
+		paths[i] = p
+		agg.Add(st)
 		if h.Edge != nil {
-			sel.m.PathEdges(tr.Path, func(e mesh.EdgeID) { h.Edge(i, e) })
+			sel.m.PathEdges(p, func(e mesh.EdgeID) { h.Edge(i, e) })
 		}
 		if h.Path != nil {
-			h.Path(i, pairs[i], tr.Path, tr.Stats)
+			h.Path(i, pairs[i], p, st)
 		}
 	}
 	return agg

@@ -145,48 +145,29 @@ func (sel *Selector) selectKSegArena(s, t mesh.NodeID, stream uint64, snapshot [
 	if s != t {
 		ch = sel.chainFor(s, t, sc)
 	}
-	if sel.opt.KeepCycles {
-		// With cycles kept the fused scorer doesn't apply (it scores the
-		// excised walk); construct and scan each candidate separately.
-		best, bestStats := sel.constructSegChain(s, t, stream, ch, nil, sc)
-		scores[0] = metrics.SegPathMaxLoad(sel.m, snapshot, best)
-		bestIdx := 0
-		totalBits := bestStats.RandomBits
-		for j := 1; j < k; j++ {
-			cand, st := sel.constructSegChain(s, t, KSampleStream(stream, j), ch, nil, sc)
-			totalBits += st.RandomBits
-			scores[j] = metrics.SegPathMaxLoad(sel.m, snapshot, cand)
-			if scores[j] < scores[bestIdx] {
-				best, bestStats, bestIdx = cand, st, j
-			}
-		}
-		bestStats.RandomBits = totalBits
-		return best, bestStats, bestIdx, scores
-	}
-	// Candidate race on two alternating compression buffers: the
-	// incumbent holds one, each challenger is built (and scored, fused
-	// into the excision walk) in the other, and a win just swaps the
-	// buffer roles. Losing candidates therefore never allocate; only
-	// the committed path pays the exact-size caller-owned copy.
+	// Candidate race on two alternating run buffers: the incumbent
+	// holds one, each challenger is built in the other and scored over
+	// its final runs, and a win just swaps the buffer roles. Losing
+	// candidates therefore never allocate; only the committed path pays
+	// the caller-owned copy.
 	bufBest, bufCand := sc.segs2, sc.segs3
-	best, bestStats, bufBest, score0 := sel.constructSegScored(s, t, stream, ch, snapshot, bufBest, sc)
-	scores[0] = score0
+	bufBest, bestStats := sel.selectRuns(s, t, stream, ch, bufBest, sc)
+	scores[0] = metrics.SegPathMaxLoad(sel.m, snapshot, mesh.SegPath{Start: s, Segs: bufBest})
 	bestIdx := 0
 	totalBits := bestStats.RandomBits
 	for j := 1; j < k; j++ {
-		cand, st, grown, score := sel.constructSegScored(s, t, KSampleStream(stream, j), ch, snapshot, bufCand, sc)
-		bufCand = grown
+		var st Stats
+		bufCand, st = sel.selectRuns(s, t, KSampleStream(stream, j), ch, bufCand, sc)
 		totalBits += st.RandomBits
-		scores[j] = score
-		if score < scores[bestIdx] {
-			best, bestStats, bestIdx = cand, st, j
+		scores[j] = metrics.SegPathMaxLoad(sel.m, snapshot, mesh.SegPath{Start: s, Segs: bufCand})
+		if scores[j] < scores[bestIdx] {
+			bestStats, bestIdx = st, j
 			bufBest, bufCand = bufCand, bufBest
 		}
 	}
 	sc.segs2, sc.segs3 = bufBest, bufCand
 	bestStats.RandomBits = totalBits
-	committed := mesh.SegPath{Start: best.Start, Segs: segCopy(ar, best.Segs)}
-	return committed, bestStats, bestIdx, scores
+	return mesh.SegPath{Start: s, Segs: segCopy(ar, bufBest)}, bestStats, bestIdx, scores
 }
 
 // SelectAllKSeg routes a whole problem with the k-sample mode against

@@ -8,11 +8,10 @@ import (
 
 // SegPath selects the run-length path for packet (s, t, stream). The
 // result is exactly Path(s, t, stream).Compress — same randomness, same
-// cycle removal — but in the common (cycle-free) case it is produced
-// straight from Algorithm H's dim-by-dim construction without ever
-// materializing the hop sequence, which is what takes
-// BenchmarkPathSelect2D from O(path length) to O(d · chain length)
-// bytes per op.
+// cycle removal — but it is produced straight from Algorithm H's
+// dim-by-dim construction without ever materializing the hop sequence,
+// which is what takes BenchmarkPathSelect2D from O(path length) to
+// O(d · chain length) bytes per op.
 func (sel *Selector) SegPath(s, t mesh.NodeID, stream uint64) mesh.SegPath {
 	sp, _ := sel.SegPathStats(s, t, stream)
 	return sp
@@ -28,11 +27,10 @@ func (sel *Selector) SegPathStats(s, t mesh.NodeID, stream uint64) (mesh.SegPath
 }
 
 // constructSegInto is the segment-native construction: the shared
-// prepare prelude (so randomness consumption matches the hop path bit
-// for bit), runs emitted directly per dimension, and the dense
-// run-level cycle excision (mesh.CompressCyclesSeg) in place of the
-// hop-level map walk, so outputs agree with
-// Compress(constructInto(...).Path) in every case.
+// chain resolution and randomness draw (so randomness consumption
+// matches the hop path bit for bit), runs emitted directly per
+// dimension, and loop erasure on run geometry (mesh.LoopErase), so
+// outputs agree with Compress(PathStats(...)) in every case.
 func (sel *Selector) constructSegInto(s, t mesh.NodeID, stream uint64, sc *scratch) (mesh.SegPath, Stats) {
 	return sel.constructSegArena(s, t, stream, nil, sc)
 }
@@ -46,64 +44,45 @@ func (sel *Selector) constructSegArena(s, t mesh.NodeID, stream uint64, ar *SegA
 	if s == t {
 		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}
 	}
-	return sel.constructSegChain(s, t, stream, sel.chainFor(s, t, sc), ar, sc)
+	var st Stats
+	sc.segs2, st = sel.selectRuns(s, t, stream, sel.chainFor(s, t, sc), sc.segs2, sc)
+	return mesh.SegPath{Start: s, Segs: segCopy(ar, sc.segs2)}, st
 }
 
-// constructSegChain is constructSegArena against the already resolved
-// chain ch of (s, t) (ignored when s == t).
-func (sel *Selector) constructSegChain(s, t mesh.NodeID, stream uint64, ch chainRef, ar *SegArena, sc *scratch) (mesh.SegPath, Stats) {
+// selectRuns draws the packet's randomness against the resolved chain
+// ch (ignored when s == t), builds the raw dim-by-dim runs between
+// consecutive waypoints and writes the packet's final runs into
+// buf[:0]: the loop erasure of the raw walk, or the raw runs
+// themselves under KeepCycles. It returns them — grown from buf, so
+// they alias it — with complete Stats. The k-sample engine races
+// candidates through alternating bufs; everyone else passes sc.segs2.
+func (sel *Selector) selectRuns(s, t mesh.NodeID, stream uint64, ch chainRef, buf []mesh.Seg, sc *scratch) ([]mesh.Seg, Stats) {
 	if s == t {
-		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}
+		return buf[:0], Stats{ChainLen: 1}
 	}
-	segs, st := sel.buildSegs(s, t, stream, ch, sc)
-	var out mesh.SegPath
-	if sel.opt.KeepCycles {
-		out = mesh.SegPath{Start: s, Segs: segCopy(ar, segs)}
-	} else {
-		var aliased mesh.SegPath
-		aliased, sc.segs2 = sel.m.CompressCyclesSegInto(s, segs, &sc.cyc, sc.segs2)
-		out = mesh.SegPath{Start: s, Segs: segCopy(ar, aliased.Segs)}
-	}
-	st.Len = out.Len()
-	return out, st
-}
-
-// buildSegs draws the packet's randomness against the resolved chain
-// ch and emits the raw dim-by-dim runs between consecutive waypoints
-// into sc.segs, returning them with every Stats field but Len.
-func (sel *Selector) buildSegs(s, t mesh.NodeID, stream uint64, ch chainRef, sc *scratch) ([]mesh.Seg, Stats) {
-	waypoints, perm := sel.draw(s, t, stream, ch, sc)
+	wp, perm := sel.draw(s, t, stream, ch, sc)
+	d := sel.m.Dim()
 	segs := sc.segs[:0]
-	for i := 1; i < len(waypoints); i++ {
-		segs = sel.m.AppendStaircaseSegs(segs, waypoints[i-1], waypoints[i], perm)
+	raw := 0
+	for i := d; i < len(wp); i += d {
+		var n int
+		segs, n = sel.m.AppendStaircaseSegs(segs, wp[i-d:i], wp[i:i+d], perm)
+		raw += n
 	}
 	sc.segs = segs
-	return segs, Stats{
+	st := Stats{
 		RandomBits:   sc.rng.BitsUsed(),
 		BridgeHeight: sel.dc.HeightOf(ch.br.Level),
 		BridgeType:   ch.br.Type,
 		ChainLen:     len(ch.boxes),
-		RawLen:       mesh.SegPath{Start: s, Segs: segs}.Len(),
+		RawLen:       raw,
+		Len:          raw,
 	}
-}
-
-// constructSegScored is constructSegChain for candidate racing: the
-// compressed result ALIASES buf (returned grown for reuse) instead of
-// being exact-size copied, and the maximum snapshot load over its
-// edges comes fused out of the excision walk
-// (mesh.CompressCyclesSegMax) — no second scan, no expansion. The
-// k-sample engine races k of these over one resolved chain and pays
-// the caller-owned copy only for the candidate it commits. Requires
-// !KeepCycles; the committed path is byte-identical to
-// constructSegInto's for the same stream.
-func (sel *Selector) constructSegScored(s, t mesh.NodeID, stream uint64, ch chainRef, snapshot []int64, buf []mesh.Seg, sc *scratch) (mesh.SegPath, Stats, []mesh.Seg, int64) {
-	if s == t {
-		return mesh.SegPath{Start: s}, Stats{ChainLen: 1}, buf, 0
+	if sel.opt.KeepCycles {
+		return append(buf[:0], segs...), st
 	}
-	segs, st := sel.buildSegs(s, t, stream, ch, sc)
-	out, buf, maxLoad := sel.m.CompressCyclesSegMax(s, segs, &sc.cyc, buf, snapshot)
-	st.Len = out.Len()
-	return out, st, buf, maxLoad
+	buf, st.Len = sel.m.LoopErase(s, segs, &sc.er, buf)
+	return buf, st
 }
 
 // SegObserver receives each whole selected run-length path (with its

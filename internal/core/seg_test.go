@@ -67,9 +67,9 @@ func TestSegGoldenEquality(t *testing.T) {
 }
 
 // TestSegCycleFallbackExercised guards the golden suite itself: the
-// equality above is vacuous for the rare expand-and-excise fallback
-// unless some packets actually lose hops to cycle removal. Require
-// that the suite's workloads hit that branch.
+// equality above says nothing about loop erasure unless some packets
+// actually lose hops to cycle removal. Require that the suite's
+// workloads erase some loops.
 func TestSegCycleFallbackExercised(t *testing.T) {
 	cycles := 0
 	for _, c := range cacheEquivCases() {
@@ -196,8 +196,8 @@ func TestSegEdgeHookMatchesExpansion(t *testing.T) {
 var segSink mesh.SegPath
 
 // TestSegPathAllocsWarm: the warm segment hot path must allocate only
-// the caller-owned Segs slice (plus rare fallback work), staying under
-// the same budget as the hop path.
+// the caller-owned Segs slice, staying under the same budget as the hop
+// path.
 func TestSegPathAllocsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

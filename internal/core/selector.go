@@ -339,31 +339,33 @@ func (sel *Selector) Path(s, t mesh.NodeID, stream uint64) mesh.Path {
 	return p
 }
 
-// PathStats lives in explain.go, sharing the single construction code
-// path with Explain so that traces are authoritative by construction.
+// PathStats lives in explain.go, next to Explain's independent
+// hop-level construction that the invariant engine replays against it.
 
-// drawWaypoints picks the random node v_i in every chain submesh.
-// v_0 = s and v_last = t always (their chain boxes are single nodes in
-// the bitonic construction; in the access-tree ablation with h the
-// common height the first and last boxes are the leaves as well).
-// capBits is the chain's precomputed §5.3 reservoir size (ignored
-// under FreshBits). The returned slice aliases sc's waypoint buffer.
-func (sel *Selector) drawWaypoints(chain []mesh.Box, capBits int, s, t mesh.NodeID, rng *bitrand.Source, sc *scratch) []mesh.NodeID {
+// drawWaypoints picks the random node v_i in every chain submesh and
+// returns the waypoints' coordinates, d per waypoint, flat. v_0 = s
+// and v_last = t always (their chain boxes are single nodes in the
+// bitonic construction; in the access-tree ablation with h the common
+// height the first and last boxes are the leaves as well). capBits is
+// the chain's precomputed §5.3 reservoir size (ignored under
+// FreshBits). Coordinates drawn in extended torus boxes are folded
+// into [0, side). The returned slice aliases sc's waypoint buffer.
+func (sel *Selector) drawWaypoints(chain []mesh.Box, capBits int, s, t mesh.NodeID, rng *bitrand.Source, sc *scratch) []int {
 	d := sel.m.Dim()
-	if cap(sc.wp) < len(chain) {
-		sc.wp = make([]mesh.NodeID, len(chain))
+	n := len(chain) * d
+	if cap(sc.wp) < n {
+		sc.wp = make([]int, n)
 	}
-	wp := sc.wp[:len(chain)]
-	wp[0] = s
-	wp[len(chain)-1] = t
-	c := sc.c
+	wp := sc.wp[:n]
+	sel.m.CoordInto(s, wp[:d])
+	sel.m.CoordInto(t, wp[n-d:])
 
 	if sel.opt.FreshBits {
 		for i := 1; i < len(chain)-1; i++ {
-			for dim := 0; dim < d; dim++ {
-				c[dim] = chain[i].Lo[dim] + rng.Intn(chain[i].Side(dim))
+			c := wp[i*d : i*d+d]
+			for dim := range c {
+				c[dim] = sel.m.Fold(dim, chain[i].Lo[dim]+rng.Intn(chain[i].Side(dim)))
 			}
-			wp[i] = sel.m.NodeWrapped(c)
 		}
 		return wp
 	}
@@ -380,10 +382,10 @@ func (sel *Selector) drawWaypoints(chain []mesh.Box, capBits int, s, t mesh.Node
 		if i%2 == 0 {
 			r = sc.r2
 		}
-		for dim := 0; dim < d; dim++ {
-			c[dim] = chain[i].Lo[dim] + r.DrawDim(dim, chain[i].Side(dim))
+		c := wp[i*d : i*d+d]
+		for dim := range c {
+			c[dim] = sel.m.Fold(dim, chain[i].Lo[dim]+r.DrawDim(dim, chain[i].Side(dim)))
 		}
-		wp[i] = sel.m.NodeWrapped(c)
 	}
 	return wp
 }

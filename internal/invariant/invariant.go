@@ -11,9 +11,10 @@
 // theorem's name and a replayable (seed, stream, s, t) witness.
 //
 // The Engine re-derives the authoritative decision trace for every
-// checked packet via core.Explain — the same construction code path
-// that produced the path — and verifies both the trace's internal
-// structure and the delivered path against it. It attaches to the hot
+// checked packet via core.Explain — the same chain and randomness as
+// the engine that produced the path, with hop-level cycle removal in
+// place of the engines' loop erasure on runs — and verifies both the
+// trace's internal structure and the delivered path against it. It attaches to the hot
 // path as an optional observer (core.Hooks.Path for batch selection,
 // Session.Observe for online routing) and costs nothing when not
 // attached.

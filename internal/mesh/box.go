@@ -235,17 +235,14 @@ func (m *Mesh) OutDegree(b Box) int {
 	return out
 }
 
-// NodeWrapped linearizes a coordinate after folding each component
-// into [0, side) — the coordinate arithmetic of extended (wrapping)
-// torus boxes produces components >= side or < 0.
-func (m *Mesh) NodeWrapped(c Coord) NodeID {
-	id := 0
-	for i, v := range c {
-		s := m.dims[i]
-		v = ((v % s) + s) % s
-		id += v * m.strides[i]
+// Fold maps coordinate v of dimension dim into [0, side) — the
+// coordinate arithmetic of extended (wrapping) torus boxes produces
+// components >= side or < 0.
+func (m *Mesh) Fold(dim, v int) int {
+	if s := m.dims[dim]; v < 0 || v >= s {
+		v = (v%s + s) % s
 	}
-	return NodeID(id)
+	return v
 }
 
 // BoxContains reports whether coordinate c lies in box b under the

@@ -91,3 +91,80 @@ func FuzzEdgeBetween(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoopErase checks LoopErase against the hop-level reference
+// (Expand → RemoveCycles → Compress) on raw run lists over open and
+// torus meshes of 1–4 dimensions and sides 1–6, and checks that it
+// panics exactly when ValidateSeg rejects the walk (a run leaving an
+// open side). sides gives one side per dimension; each run is two
+// bytes — a dimension and a signed length of up to three times the
+// side, never zero. With fold set, open-mesh runs are shortened to
+// stay on the mesh, so long valid walks stay reachable.
+func FuzzLoopErase(f *testing.F) {
+	f.Add(true, []byte{5}, uint32(4), []byte{0, 3, 0, 0x80 | 5}, false)                      // seam crossing, then a retrace across it
+	f.Add(true, []byte{5, 2}, uint32(1), []byte{0, 13, 1, 1}, false)                         // a run lapping the ring twice
+	f.Add(false, []byte{5, 5}, uint32(8), []byte{0, 4, 0, 0x80 | 3, 1, 2}, true)             // collinear retrace
+	f.Add(false, []byte{5, 5}, uint32(14), []byte{0, 2, 1, 2, 0, 0x82, 1, 0x82, 0, 3}, true) // cycle through the start
+	f.Add(false, []byte{3, 1, 4}, uint32(0), []byte{2, 5}, false)                            // a run leaving an open side
+	f.Fuzz(func(t *testing.T, torus bool, sides []byte, start uint32, runs []byte, fold bool) {
+		if len(sides) == 0 {
+			return
+		}
+		if len(sides) > 4 {
+			sides = sides[:4]
+		}
+		dims := make([]int, len(sides))
+		for i, b := range sides {
+			dims[i] = 1 + int(b)%6
+		}
+		m := MustNew(dims...)
+		if torus {
+			m = mustTorus(dims...)
+		}
+		if len(runs) > 64 {
+			runs = runs[:64]
+		}
+		s0 := NodeID(int(start % uint32(m.Size())))
+		c := m.CoordOf(s0)
+		var segs []Seg
+		for i := 0; i+1 < len(runs); i += 2 {
+			dim := int(runs[i]) % m.Dim()
+			side := m.Side(dim)
+			run := 1 + int(runs[i+1]&0x7f)%(3*side)
+			if runs[i+1]&0x80 != 0 {
+				run = -run
+			}
+			if fold && !m.WrapDim(dim) {
+				run = max(-c[dim], min(run, side-1-c[dim]))
+				if run == 0 {
+					continue
+				}
+			}
+			segs = append(segs, Seg{Dim: int32(dim), Run: int32(run)})
+			c[dim] = ((c[dim]+run)%side + side) % side
+		}
+		_, err := m.SegWalkEnd(SegPath{Start: s0, Segs: segs})
+		valid := err == nil
+		var eb EraseBuf
+		var got []Seg
+		var n int
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			got, n = m.LoopErase(s0, segs, &eb, nil)
+			return false
+		}()
+		if panicked != !valid {
+			t.Fatalf("%v: start %d runs %+v: panicked=%v, ValidateSeg ok=%v", m, s0, segs, panicked, valid)
+		}
+		if !valid {
+			return
+		}
+		want := eraseReference(m, s0, segs)
+		if !segsEq(got, want) {
+			t.Fatalf("%v: start %d runs %+v: got %+v, want %+v", m, s0, segs, got, want)
+		}
+		if wl := (SegPath{Start: s0, Segs: want}).Len(); n != wl {
+			t.Fatalf("%v: start %d runs %+v: length %d, want %d", m, s0, segs, n, wl)
+		}
+	})
+}

@@ -13,6 +13,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -80,6 +81,15 @@ type Mesh struct {
 	size    int   // total node count, n = prod dims
 	edges   int   // total undirected edge count
 	wrap    bool  // torus topology
+
+	// Packed coordinates (see packNode): dimension i occupies the
+	// value bits cmask[i]<<cshift[i] plus one guard bit just above
+	// them; cguard collects the guard bits. Side-1 dimensions take no
+	// bits at all. A side-s dimension needs bits.Len(s-1)+1 ≤ 2·log₂s
+	// bits and sizes are capped at 2^31, so every mesh fits in 62.
+	cshift []uint
+	cmask  []uint64
+	cguard uint64
 }
 
 // New constructs a mesh with the given side lengths. Each side must be
@@ -112,6 +122,19 @@ func build(wrap bool, dims ...int) (*Mesh, error) {
 			return nil, fmt.Errorf("mesh: size overflow with side %d in dimension %d", s, i)
 		}
 		m.size *= s
+	}
+	m.cshift = make([]uint, len(dims))
+	m.cmask = make([]uint64, len(dims))
+	off := uint(0)
+	for i, s := range dims {
+		if s == 1 {
+			continue
+		}
+		w := uint(bits.Len(uint(s - 1)))
+		m.cshift[i] = off
+		m.cmask[i] = 1<<w - 1
+		m.cguard |= 1 << (off + w)
+		off += w + 1
 	}
 	for _, s := range dims {
 		switch {

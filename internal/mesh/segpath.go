@@ -277,55 +277,6 @@ func (m *Mesh) hopInDim(a NodeID, delta, dim int) (int, bool) {
 	return 0, false
 }
 
-// CompressCycles excises cycles from the walk p (the same
-// last-occurrence excision as RemoveCyclesReuse) and compresses the
-// surviving hops in a single pass, without materializing the
-// intermediate hop path — the batch fallback for the rare packet whose
-// runs revisit a node. last is a reusable map as in RemoveCyclesReuse;
-// buf is a reusable append buffer, returned grown for the next call.
-// The result's Segs are an exact-size copy that never aliases buf, and
-// equal RemoveCycles(p).Compress(m) for every walk of length ≥ 1.
-func (m *Mesh) CompressCycles(p Path, last map[NodeID]int, buf []Seg) (SegPath, []Seg) {
-	if len(p) == 0 {
-		return SegPath{Start: -1}, buf
-	}
-	clear(last)
-	for i, v := range p {
-		last[v] = i
-	}
-	segs := buf[:0]
-	hint := 0
-	prev := p[0]
-	i := 0
-	if j := last[prev]; j > i {
-		i = j // cycle through the source; p[j] == prev, so prev stays valid
-	}
-	for i++; i < len(p); i++ {
-		v := p[i]
-		dim, dir, ok := m.hopDecode(prev, v, hint)
-		if !ok {
-			panic(fmt.Sprintf("mesh: invalid path step %v -> %v", m.CoordOf(prev), m.CoordOf(v)))
-		}
-		hint = dim
-		run := int32(dir)
-		if n := len(segs); n > 0 && segs[n-1].Dim == int32(dim) &&
-			(segs[n-1].Run > 0) == (run > 0) {
-			segs[n-1].Run += run
-		} else {
-			segs = append(segs, Seg{Dim: int32(dim), Run: run})
-		}
-		prev = v
-		if j := last[v]; j > i {
-			i = j
-		}
-	}
-	out := SegPath{Start: p[0]}
-	if len(segs) > 0 {
-		out.Segs = append(make([]Seg, 0, len(segs)), segs...)
-	}
-	return out, segs
-}
-
 // RunEdges calls fn with the EdgeID of every edge of the run of |run|
 // steps from start along dim (sign of run is the direction) and
 // returns the node the run ends at. The loop is pure stride
@@ -393,32 +344,30 @@ func (m *Mesh) StretchSeg(sp SegPath, src, dst NodeID) float64 {
 	return float64(sp.Len()) / float64(d)
 }
 
-// AppendStaircaseSegs appends the staircase path from a to b to dst as
-// runs — at most one segment per dimension, in perm order, with the
-// exact steps/direction arithmetic of AppendStaircase (torus runs take
-// the shorter ring direction, ties +1). A leading run that continues
-// dst's trailing segment (same dimension, same direction) is merged
-// into it, so concatenating staircases yields the canonical run form
-// directly.
-func (m *Mesh) AppendStaircaseSegs(dst []Seg, a, b NodeID, perm []int) []Seg {
-	var cbuf [32]int
-	var ac, bc Coord
-	if d := len(m.dims); d <= 16 {
-		ac, bc = cbuf[:d:d], cbuf[16:16+d:16+d]
-	} else {
-		ac, bc = make(Coord, d), make(Coord, d)
-	}
-	m.CoordInto(a, ac)
-	m.CoordInto(b, bc)
+// AppendStaircaseSegs appends the staircase path from the node at
+// coordinate a to the node at coordinate b to dst as runs — at most one
+// segment per dimension, in perm order, with the exact steps/direction
+// arithmetic of AppendStaircase (torus runs take the shorter ring
+// direction, ties +1) — and also returns the staircase's length in
+// hops. A leading run that continues dst's trailing segment (same
+// dimension, same direction) is merged into it, so concatenating
+// staircases yields the canonical run form directly. a and b must be
+// coordinates of m (every component in [0, side)); working on them
+// keeps the waypoint-to-waypoint construction free of divisions.
+func (m *Mesh) AppendStaircaseSegs(dst []Seg, a, b Coord, perm []int) ([]Seg, int) {
+	hops := 0
 	for _, dim := range perm {
 		s := m.dims[dim]
-		delta := bc[dim] - ac[dim]
+		delta := b[dim] - a[dim]
 		steps, dir := delta, 1
 		if steps < 0 {
 			steps, dir = -steps, -1
 		}
 		if m.wrapDim(dim) {
-			fwd := ((delta % s) + s) % s
+			fwd := delta
+			if fwd < 0 {
+				fwd += s
+			}
 			if fwd <= s-fwd {
 				steps, dir = fwd, 1
 			} else {
@@ -428,6 +377,7 @@ func (m *Mesh) AppendStaircaseSegs(dst []Seg, a, b NodeID, perm []int) []Seg {
 		if steps == 0 {
 			continue
 		}
+		hops += steps
 		run := int32(steps)
 		if dir < 0 {
 			run = -run
@@ -439,5 +389,5 @@ func (m *Mesh) AppendStaircaseSegs(dst []Seg, a, b NodeID, perm []int) []Seg {
 			dst = append(dst, Seg{Dim: int32(dim), Run: run})
 		}
 	}
-	return dst
+	return dst, hops
 }

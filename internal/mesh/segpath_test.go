@@ -258,9 +258,9 @@ func TestAppendStaircaseSegsMatchesStaircase(t *testing.T) {
 				pi++
 			}
 			hops := m.StaircasePath(s, d, perm)
-			segs := m.AppendStaircaseSegs(nil, s, d, perm)
+			segs, n := m.AppendStaircaseSegs(nil, m.CoordOf(s), m.CoordOf(d), perm)
 			sp := SegPath{Start: s, Segs: segs}
-			if m.ValidateSeg(sp, s, d) != nil {
+			if m.ValidateSeg(sp, s, d) != nil || n != hops.Len() {
 				return false
 			}
 			return pathsEq(sp.Expand(m), hops)
@@ -273,78 +273,14 @@ func TestAppendStaircaseSegsMatchesStaircase(t *testing.T) {
 
 func TestAppendStaircaseSegsMerges(t *testing.T) {
 	m := MustNew(8, 8)
-	s := m.Node(Coord{0, 0})
-	mid := m.Node(Coord{3, 0})
-	d := m.Node(Coord{6, 2})
+	s, mid, d := Coord{0, 0}, Coord{3, 0}, Coord{6, 2}
 	// Two staircases whose junction continues along dim 0 must fuse
 	// into a single run: canonical form straight out of construction.
-	segs := m.AppendStaircaseSegs(nil, s, mid, []int{0, 1})
-	segs = m.AppendStaircaseSegs(segs, mid, d, []int{0, 1})
+	segs, _ := m.AppendStaircaseSegs(nil, s, mid, []int{0, 1})
+	segs, _ = m.AppendStaircaseSegs(segs, mid, d, []int{0, 1})
 	want := []Seg{{Dim: 0, Run: 6}, {Dim: 1, Run: 2}}
 	if len(segs) != len(want) || segs[0] != want[0] || segs[1] != want[1] {
 		t.Errorf("segs = %+v, want %+v", segs, want)
-	}
-}
-
-// TestCompressCyclesMatchesRemoveCycles pins the fused excise+compress
-// pass to the two-step reference on random walks.
-func TestCompressCyclesMatchesRemoveCycles(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	last := make(map[NodeID]int)
-	var buf []Seg
-	for _, m := range segMeshes() {
-		for trial := 0; trial < 100; trial++ {
-			p := randomWalk(m, rng, rng.Intn(4*m.MaxSide()))
-			want := p.RemoveCycles().Compress(m)
-			var got SegPath
-			got, buf = m.CompressCycles(p, last, buf)
-			if got.Start != want.Start || len(got.Segs) != len(want.Segs) {
-				t.Fatalf("%v: walk %v: got %+v, want %+v", m, p, got, want)
-			}
-			for i := range want.Segs {
-				if got.Segs[i] != want.Segs[i] {
-					t.Fatalf("%v: walk %v: seg %d: got %+v, want %+v", m, p, i, got.Segs[i], want.Segs[i])
-				}
-			}
-		}
-	}
-	if sp, _ := MustNew(4, 4).CompressCycles(Path{}, last, nil); sp.Start != -1 {
-		t.Errorf("empty walk compress = %+v", sp)
-	}
-}
-
-// TestCompressCyclesSegMatchesReference pins the dense run-level
-// excision to the same two-step reference, reusing one CycleBuf across
-// meshes and trials (each call must stamp over whatever the previous
-// walk — possibly on another mesh — left behind).
-func TestCompressCyclesSegMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var cb CycleBuf
-	var buf []Seg
-	for _, m := range segMeshes() {
-		for trial := 0; trial < 100; trial++ {
-			p := randomWalk(m, rng, rng.Intn(4*m.MaxSide()))
-			want := p.RemoveCycles().Compress(m)
-			in := p.Compress(m)
-			var got SegPath
-			got, buf = m.CompressCyclesSeg(in.Start, in.Segs, &cb, buf)
-			if got.Start != want.Start || len(got.Segs) != len(want.Segs) {
-				t.Fatalf("%v: walk %v: got %+v, want %+v", m, p, got, want)
-			}
-			for i := range want.Segs {
-				if got.Segs[i] != want.Segs[i] {
-					t.Fatalf("%v: walk %v: seg %d: got %+v, want %+v", m, p, i, got.Segs[i], want.Segs[i])
-				}
-			}
-			if len(got.Segs) > 0 && &got.Segs[0] == &buf[0] {
-				t.Fatalf("%v: result aliases the reuse buffer", m)
-			}
-		}
-	}
-	// Zero-length walk: no segments in, no segments out.
-	m := MustNew(4, 4)
-	if sp, _ := m.CompressCyclesSeg(5, nil, &cb, buf); sp.Start != 5 || len(sp.Segs) != 0 {
-		t.Errorf("zero-length walk = %+v", sp)
 	}
 }
 

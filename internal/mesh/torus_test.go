@@ -256,12 +256,12 @@ func TestTorusForEachNode(t *testing.T) {
 	}
 }
 
-func TestTorusNodeWrapped(t *testing.T) {
+func TestTorusFold(t *testing.T) {
 	m := MustSquareTorus(2, 8)
-	if m.NodeWrapped(Coord{9, -1}) != m.Node(Coord{1, 7}) {
-		t.Error("NodeWrapped folding wrong")
+	if m.Fold(0, 9) != 1 || m.Fold(1, -1) != 7 || m.Fold(0, -17) != 7 {
+		t.Error("Fold folding wrong")
 	}
-	if m.NodeWrapped(Coord{3, 4}) != m.Node(Coord{3, 4}) {
-		t.Error("NodeWrapped identity wrong")
+	if m.Fold(0, 3) != 3 || m.Fold(1, 4) != 4 {
+		t.Error("Fold identity wrong")
 	}
 }

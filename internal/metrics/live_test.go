@@ -65,8 +65,8 @@ func randomSegPaths(m *mesh.Mesh, n int, seed int64) []mesh.SegPath {
 	sps := make([]mesh.SegPath, n)
 	for i := 0; i < n; {
 		s, w, t := mesh.NodeID(rng.Intn(m.Size())), mesh.NodeID(rng.Intn(m.Size())), mesh.NodeID(rng.Intn(m.Size()))
-		segs := m.AppendStaircaseSegs(nil, s, w, rng.Perm(m.Dim()))
-		segs = m.AppendStaircaseSegs(segs, w, t, rng.Perm(m.Dim()))
+		segs, _ := m.AppendStaircaseSegs(nil, m.CoordOf(s), m.CoordOf(w), rng.Perm(m.Dim()))
+		segs, _ = m.AppendStaircaseSegs(segs, m.CoordOf(w), m.CoordOf(t), rng.Perm(m.Dim()))
 		laps := false
 		for _, sg := range segs {
 			d, r := int(sg.Dim), int(sg.Run)

@@ -20,72 +20,93 @@ import (
 // selection mode uses to score candidate paths against a frozen
 // congestion snapshot without expanding them.
 func MaxLoadRun(m *mesh.Mesh, loads []int64, start mesh.NodeID, dim, run int) (int64, mesh.NodeID) {
-	if run == 0 {
-		return 0, start
-	}
-	s := m.Side(dim)
-	st := m.Stride(dim)
-	wrap := m.WrapDim(dim)
-	base := dim * m.Size()
 	u := int(start)
-	ci := (u / st) % s
-	steps, dir := run, 1
-	if steps < 0 {
-		steps, dir = -steps, -1
+	v, end, _ := maxLoadRun(m, loads, u, u/m.Stride(dim)%m.Side(dim), dim, run)
+	return v, mesh.NodeID(end)
+}
+
+// maxLoadRun is MaxLoadRun from node u whose dim coordinate is c: it
+// reads the run's edges as one strided span of its line, or two when
+// it crosses a torus seam (the intervals AddRun books), and returns
+// the maximum with the node the run ends at and that node's dim
+// coordinate.
+func maxLoadRun(m *mesh.Mesh, loads []int64, u, c, dim, run int) (int64, int, int) {
+	if run == 0 {
+		return 0, u, c
 	}
-	if wrap && steps >= s {
-		panic("metrics: run laps the ring")
+	s, st := m.Side(dim), m.Stride(dim)
+	line := dim*m.Size() + u - c*st // edge id of the line's coordinate-0 edge
+	steps, a := run, c              // the run covers edges [a, a+steps), modulo s on the torus
+	if run < 0 {
+		steps, a = -run, c+run
 	}
-	var max int64
-	for k := 0; k < steps; k++ {
-		var e int
-		switch {
-		case dir > 0 && ci < s-1:
-			e = base + u
-			u += st
-			ci++
-		case dir > 0 && wrap:
-			e = base + u
-			u -= (s - 1) * st
-			ci = 0
-		case dir < 0 && ci > 0:
-			u -= st
-			ci--
-			e = base + u
-		case dir < 0 && wrap:
-			u += (s - 1) * st
-			ci = s - 1
-			e = base + u
-		default:
+	if !m.WrapDim(dim) {
+		if a < 0 || a+steps > s-1 {
 			panic("metrics: run leaves the mesh")
 		}
-		if v := loads[e]; v > max {
-			max = v
+		return maxStride(loads, line+a*st, st, steps), u + run*st, c + run
+	}
+	if steps >= s {
+		panic("metrics: run laps the ring")
+	}
+	if a < 0 {
+		a += s
+	}
+	var v int64
+	if b := a + steps; b <= s {
+		v = maxStride(loads, line+a*st, st, steps)
+	} else {
+		v = max(maxStride(loads, line+a*st, st, s-a), maxStride(loads, line, st, b-s))
+	}
+	end := a // a −run ends at the interval's low end, a +run one past its high end
+	if run > 0 {
+		if end = a + steps; end >= s {
+			end -= s
 		}
 	}
-	return max, mesh.NodeID(u)
+	return v, u + (end-c)*st, end
+}
+
+// maxStride returns the maximum of the n ≥ 1 entries loads[i],
+// loads[i+st], …, loads[i+(n-1)·st].
+func maxStride(loads []int64, i, st, n int) int64 {
+	span := loads[i : i+(n-1)*st+1]
+	var v int64
+	for j := 0; j < len(span); j += st {
+		v = max(v, span[j])
+	}
+	return v
 }
 
 // SegPathMaxLoad returns the maximum load any edge of a run-length
 // path carries in a plain load vector (indexed by mesh.EdgeID) — the
 // candidate score of the k-sample selection mode: routing along sp
 // would raise the maximum load on its own edges to at least
-// SegPathMaxLoad+1. Computed run by run with MaxLoadRun, no expansion.
-// An empty or sentinel (Start < 0) path scores 0.
+// SegPathMaxLoad+1. Computed run by run as MaxLoadRun does, no expansion.
+// An empty or sentinel (Start < 0) path, and any path against a nil
+// load vector (an unloaded network), scores 0.
 func SegPathMaxLoad(m *mesh.Mesh, loads []int64, sp mesh.SegPath) int64 {
-	if sp.Start < 0 {
+	if sp.Start < 0 || loads == nil {
 		return 0
 	}
-	var max int64
-	u := sp.Start
-	for _, sg := range sp.Segs {
-		v, end := MaxLoadRun(m, loads, u, int(sg.Dim), int(sg.Run))
-		if v > max {
-			max = v
-		}
-		u = end
+	// Track the walk's coordinates so no run needs a division.
+	var buf [8]int
+	coords := buf[:0]
+	if m.Dim() > len(buf) {
+		coords = make([]int, 0, m.Dim())
 	}
-	return max
+	u := int(sp.Start)
+	for i := 0; i < m.Dim(); i++ {
+		coords = append(coords, u/m.Stride(i)%m.Side(i))
+	}
+	var best int64
+	for _, sg := range sp.Segs {
+		d := int(sg.Dim)
+		var v int64
+		v, u, coords[d] = maxLoadRun(m, loads, u, coords[d], d, int(sg.Run))
+		best = max(best, v)
+	}
+	return best
 }
 
 // AddSegPath records every edge of one run-length path under one tag —
