@@ -29,6 +29,7 @@ FUZZ_TARGETS := \
 	internal/serial:FuzzWirePaths \
 	internal/serial:FuzzWireSegPaths \
 	internal/serial:FuzzWireSegReframe \
+	internal/server:FuzzBatchRequest \
 	internal/workload:FuzzGenerators
 
 FUZZ_ONLY ?= $(FUZZ_TARGETS)
@@ -37,12 +38,13 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 
 # Committed in-process benchmark baseline: headline
 # Path/SelectAll/SelectAllSeg/KSample benchmarks, the loop-erasure
-# kernel (Erase, per path at sides 64/256/1024), the loopback
+# kernel (Erase, per path at sides 64/256/1024), the OMP2 codec
+# (WireSeg, per path on a recorded side-256 batch), the loopback
 # ServerBatch, handler-level ServerBatchPipeline, and gateway-level
 # GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
-# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..10.json)
+# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..16.json)
 # form the trajectory.
-BENCH_JSON ?= BENCH_PR16.json
+BENCH_JSON ?= BENCH_PR18.json
 
 build:
 	$(GO) build ./...
@@ -75,8 +77,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPath|BenchmarkSelectAll|BenchmarkKSample|BenchmarkErase|BenchmarkServer|BenchmarkGateway' -benchmem \
-		. ./internal/core ./internal/server ./internal/gateway | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
+	$(GO) test -run '^$$' -bench 'BenchmarkPath|BenchmarkSelectAll|BenchmarkKSample|BenchmarkErase|BenchmarkWireSeg|BenchmarkServer|BenchmarkGateway' -benchmem \
+		. ./internal/core ./internal/serial ./internal/server ./internal/gateway | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 
 # One-iteration pass over every benchmark: catches benchmarks that
 # panic or no longer compile without paying for real measurements (the
@@ -97,7 +99,9 @@ bench-json:
 # per-hop recount AccumulateEdgeLoadsSeg of the same paths — and the
 # loop-erasure budget: erasing a recorded side-1024 Algorithm-H walk
 # must cost <= 2.5x erasing a side-256 one per path (cost follows
-# runs, which grow 1.3x, not hops, which grow 4.1x).
+# runs, which grow 1.3x, not hops, which grow 4.1x) — and the wire
+# checksum budget: the folded FNV-64a hasher must cost <= 0.5x hash/fnv
+# per recorded side-256 OMP2 path record (same values, same trailer).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^TestBenchGatePathSelect2D$$' -v .
@@ -105,6 +109,7 @@ bench-smoke:
 	$(GO) test -run '^TestBenchGateKSample$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateLiveBooking$$' -v ./internal/core
 	$(GO) test -run '^TestBenchGateEraseScale$$' -v ./internal/core
+	$(GO) test -run '^TestBenchGateWireChecksum$$' -v ./internal/serial
 	$(GO) test -run '^TestBenchGateServerPipeline$$' -v ./internal/server
 	$(GO) test -run '^TestBenchGateGatewaySplice$$' -v ./internal/gateway
 

@@ -161,7 +161,7 @@ type Gateway struct {
 	lat latWindow
 
 	// reqPool pools the batch ingress scratch (*batchScratch): body
-	// bytes and the decoded [][2]int, so a steady stream of equal-sized
+	// bytes and the decoded pair list, so a steady stream of equal-sized
 	// batches parses with zero slice growth — the same discipline the
 	// daemon runs. The validated []Pair recycles separately through
 	// pairsPool, under a refcounting lease (see pairsLease).
@@ -171,13 +171,11 @@ type Gateway struct {
 	wg   sync.WaitGroup
 }
 
-// batchScratch is the gateway's pooled ingress bundle.
+// batchScratch is the gateway's pooled ingress bundle: the daemon's
+// request type, parsed the same way.
 type batchScratch struct {
 	body []byte
-	req  struct {
-		Pairs [][2]int `json:"pairs"`
-		Base  uint64   `json:"base,omitempty"`
-	}
+	req  server.BatchRequest
 }
 
 func (g *Gateway) getBatchScratch() *batchScratch {

@@ -59,10 +59,7 @@ func testPairs(size, stride int) [][2]int {
 
 func batchBody(t *testing.T, pairs [][2]int, base uint64) []byte {
 	t.Helper()
-	blob, err := json.Marshal(struct {
-		Pairs [][2]int `json:"pairs"`
-		Base  uint64   `json:"base,omitempty"`
-	}{pairs, base})
+	blob, err := json.Marshal(server.BatchRequest{Pairs: pairs, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +179,74 @@ func TestGatewayEmptyBatch(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("empty %s batch: %q vs %q", format, got, want)
+		}
+	}
+}
+
+// TestBatchRejectsMalformedPairs: the gateway parses pairs with the
+// daemon's parser, so every pair that is not exactly two integers is a
+// 400 naming the pair before any shard is sent, a pair the pooled
+// ingress left behind is never routed again, and every valid spelling
+// returns the single daemon's bytes.
+func TestBatchRejectsMalformedPairs(t *testing.T) {
+	cfg := server.Config{Seed: 4}
+	ref := startBackend(t, cfg)
+	_, gw := startGateway(t, Config{Backends: []string{
+		startBackend(t, cfg).URL,
+		startBackend(t, cfg).URL,
+	}})
+	bad := []struct {
+		body string
+		pair int
+	}{
+		{`{"pairs":[null]}`, 0},
+		{`{"pairs":[[5]]}`, 0},
+		{`{"pairs":[[1,2,3]]}`, 0},
+		{`{"pairs":[[1.5,2]]}`, 0},
+		{`{"pairs":[[1e2,2]]}`, 0},
+		{`{"pairs":[["1",2]]}`, 0},
+		{`{"pairs":[[9223372036854775808,0]]}`, 0},
+		{`{"pairs":[[0,1],[2,3],null]}`, 2},
+	}
+	for _, format := range []string{"json", "wire", "wire2"} {
+		for _, tc := range bad {
+			code, body, _ := postBatch(t, gw.URL, format, []byte(tc.body))
+			want := fmt.Sprintf("pair %d", tc.pair)
+			if code != http.StatusBadRequest || !strings.Contains(string(body), want) {
+				t.Errorf("%s %s: status %d %q, want 400 naming %q", format, tc.body, code, body, want)
+			}
+		}
+	}
+
+	// The stale-pair sequence against the pooled ingress.
+	for i := 0; i < 4; i++ {
+		if code, body, _ := postBatch(t, gw.URL, "wire2", []byte(`{"pairs":[[7,9],[11,13]]}`)); code != http.StatusOK {
+			t.Fatalf("2-pair batch: status %d %s", code, body)
+		}
+		if code, body, _ := postBatch(t, gw.URL, "wire2", []byte(`{"pairs":[null]}`)); code != http.StatusBadRequest {
+			t.Fatalf("[null] after a 2-pair batch: status %d %s, want 400", code, body)
+		}
+	}
+
+	canonical := batchBody(t, [][2]int{{0, 63}, {63, 0}, {7, 42}}, 0)
+	empty := batchBody(t, [][2]int{}, 0)
+	good := []struct {
+		body string
+		want []byte
+	}{
+		{" {\n\t\"pairs\" : [ [ 0 ,63 ] ,\r\n[63, 0],[\t7,\n42 ] ] } \n", canonical},
+		{`{"PAIRS":[[0,63],[63,0],[7,42]]}`, canonical},
+		{`{"x":[null,1.5],"pairs":[[0,63],[63,0],[7,42]],"y":{"pairs":1}}`, canonical},
+		{`{"pairs":null}`, empty},
+		{`{"pairs":[]}`, empty},
+	}
+	for _, format := range []string{"json", "wire2"} {
+		for _, tc := range good {
+			_, want, _ := postBatch(t, ref.URL, format, tc.want)
+			code, got, _ := postBatch(t, gw.URL, format, []byte(tc.body))
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%s %q: status %d, response %q differs from the single daemon's %q", format, tc.body, code, got, want)
+			}
 		}
 	}
 }

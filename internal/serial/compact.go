@@ -3,7 +3,6 @@ package serial
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 
 	"obliviousmesh/internal/core"
@@ -42,24 +41,14 @@ type CompactOpts struct {
 }
 
 // PathsChecksum hashes a path set (FNV-1a over node sequences with
-// length framing).
+// length framing) — the OMP1 trailer of the same set.
 func PathsChecksum(paths []mesh.Path) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(len(paths)))
+	var ph pathsHasher
+	ph.init(len(paths))
 	for _, p := range paths {
-		put(uint64(len(p)))
-		for _, n := range p {
-			put(uint64(n))
-		}
+		ph.add(p)
 	}
-	return h.Sum64()
+	return ph.sum64()
 }
 
 // SaveCompact persists the configuration of a run routed by a core

@@ -46,16 +46,12 @@ const WireSegContentType = "application/x-obliviousmesh-segpaths"
 
 // segCode encodes one segment header as dim<<1|dirBit plus the run
 // length in hops. Runs are validated by the caller, so Dim ≥ 0 and
-// Run ≠ 0 hold here.
+// Run ≠ 0 hold here. Run directions are close to random along a path,
+// so the sign is taken apart without a branch.
 func segCode(sg mesh.Seg) (code, steps uint64) {
-	code = uint64(sg.Dim) << 1
 	run := int64(sg.Run)
-	if run > 0 {
-		code |= 1
-	} else {
-		run = -run
-	}
-	return code, uint64(run)
+	neg := run >> 63 // -1 for a −direction run, else 0
+	return uint64(sg.Dim)<<1 | uint64(neg+1), uint64((run ^ neg) - neg)
 }
 
 // segPathsHasher extends the incremental FNV checksum to run-length
@@ -71,13 +67,14 @@ func (sh *segPathsHasher) add(sp mesh.SegPath) {
 		sh.put(0)
 		return
 	}
-	sh.put(uint64(len(sp.Segs)) + 1)
-	sh.put(uint64(sp.Start))
+	h := fnvPut(sh.h, uint64(len(sp.Segs))+1)
+	h = fnvPut(h, uint64(sp.Start))
 	for _, sg := range sp.Segs {
 		code, steps := segCode(sg)
-		sh.put(code)
-		sh.put(steps)
+		h = fnvPut(h, code)
+		h = fnvPut(h, steps)
 	}
+	sh.h = h
 }
 
 // AppendWireSegPath appends the run-length encoding of one path to
@@ -197,9 +194,9 @@ func (e *WireSegEncoder) Close() error {
 }
 
 // wireSegEncPool recycles encoders (and, through them, their varint
-// scratch buffers) across requests, so the serve pipeline's per-request
-// framing cost is two small hasher allocations rather than a fresh
-// buffer growth curve per batch.
+// scratch buffers) across requests, so the serve pipeline frames each
+// request without allocating rather than with a fresh buffer growth
+// curve per batch.
 var wireSegEncPool = sync.Pool{New: func() any { return new(WireSegEncoder) }}
 
 // AcquireWireSegEncoder is NewWireSegEncoder drawing the encoder and

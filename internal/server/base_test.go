@@ -26,7 +26,7 @@ func samePath(a, b mesh.Path) bool {
 
 // fetchPaths posts req in the given format and returns the decoded hop
 // paths, whatever the encoding.
-func fetchPaths(t *testing.T, m *mesh.Mesh, url, format string, req batchRequest) []mesh.Path {
+func fetchPaths(t *testing.T, m *mesh.Mesh, url, format string, req BatchRequest) []mesh.Path {
 	t.Helper()
 	blob, err := json.Marshal(req)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestBatchBase(t *testing.T) {
 			srv, ts := newTestServer(t, Config{Seed: 11, BatchChunk: 7, DisablePipeline: !pipelined})
 			m := srv.Mesh()
 
-			var whole batchRequest
+			var whole BatchRequest
 			for s := 0; s < m.Size(); s++ {
 				whole.Pairs = append(whole.Pairs, [2]int{s, (s*29 + 5) % m.Size()})
 			}
@@ -97,7 +97,7 @@ func TestBatchBase(t *testing.T) {
 				want := fetchPaths(t, m, ts.URL, format, whole)
 				for c := 0; c+1 < len(cuts); c++ {
 					lo, hi := cuts[c], cuts[c+1]
-					shard := batchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)}
+					shard := BatchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)}
 					got := fetchPaths(t, m, ts.URL, format, shard)
 					for i := range got {
 						if !samePath(got[i], want[lo+i]) {
@@ -123,7 +123,7 @@ func TestBatchBaseKSample(t *testing.T) {
 	}
 
 	srvW, urlW := build()
-	var whole batchRequest
+	var whole BatchRequest
 	for s := 0; s < srvW.Mesh().Size(); s++ {
 		whole.Pairs = append(whole.Pairs, [2]int{s, (s*37 + 3) % srvW.Mesh().Size()})
 	}
@@ -133,7 +133,7 @@ func TestBatchBaseKSample(t *testing.T) {
 	for _, cut := range [][2]int{{0, 29}, {29, n}} {
 		lo, hi := cut[0], cut[1]
 		srvS, urlS := build() // fresh replica per shard, like a gateway fan-out
-		shard := batchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)}
+		shard := BatchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)}
 		got := fetchPaths(t, srvS.Mesh(), urlS, "wire2", shard)
 		for i := range got {
 			if !samePath(got[i], want[lo+i]) {
@@ -145,7 +145,7 @@ func TestBatchBaseKSample(t *testing.T) {
 
 func TestBatchBaseTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{Seed: 1})
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batchRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Pairs: [][2]int{{0, 1}},
 		Base:  maxStreamBase + 1,
 	})

@@ -61,7 +61,7 @@ func benchBatch(b *testing.B, size int, query string) {
 	defer ts.Close()
 	client := ts.Client()
 
-	var req batchRequest
+	var req BatchRequest
 	for k := 0; k < size; k++ {
 		s := (k * 131) % m.Size()
 		req.Pairs = append(req.Pairs, [2]int{s, (s + 517) % m.Size()})

@@ -96,7 +96,7 @@ func runLoadLoopback(t *testing.T, chain string, ksample int) {
 				atomic.AddInt64(&gotEdges, int64(len(rr.Path)-1))
 
 				// One JSON batch.
-				var breq batchRequest
+				var breq BatchRequest
 				for k := 0; k < batchSize; k++ {
 					src := (s + k) % m.Size()
 					breq.Pairs = append(breq.Pairs, [2]int{src, (src + 31) % m.Size()})
@@ -335,7 +335,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		}
 	}
 
-	var breq batchRequest
+	var breq BatchRequest
 	for s := 0; s < m.Size(); s++ {
 		breq.Pairs = append(breq.Pairs, [2]int{s, (s + 129) % m.Size()})
 	}

@@ -47,7 +47,7 @@ func newPipelineBenchServer(b testing.TB, side int, disable bool) (http.Handler,
 		b.Fatal(err)
 	}
 	const size = 2048
-	var req batchRequest
+	var req BatchRequest
 	for k := 0; k < size; k++ {
 		s := (k * 131) % m.Size()
 		req.Pairs = append(req.Pairs, [2]int{s, (s + 517) % m.Size()})

@@ -16,7 +16,7 @@ import (
 // postWire2 posts a wire2 batch and returns status and raw body bytes.
 func postWire2(t testing.TB, url string, pairs [][2]int) (int, []byte) {
 	t.Helper()
-	blob, err := json.Marshal(batchRequest{Pairs: pairs})
+	blob, err := json.Marshal(BatchRequest{Pairs: pairs})
 	if err != nil {
 		t.Fatal(err)
 	}

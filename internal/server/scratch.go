@@ -72,6 +72,9 @@ func (sc *jsonScratch) intsFor(n int) []int {
 // hopRows shapes hop paths into JSON node-id rows, all backed by the
 // scratch. Rows are valid until the scratch is released.
 func (sc *jsonScratch) hopRows(paths []mesh.Path) [][]int {
+	if len(paths) == 0 {
+		return nil // {"paths":null}, whatever capacity the pool holds
+	}
 	total := 0
 	for _, p := range paths {
 		total += len(p)
@@ -88,8 +91,8 @@ func (sc *jsonScratch) hopRows(paths []mesh.Path) [][]int {
 }
 
 // batchScratch is the request-side counterpart of jsonScratch: the raw
-// body bytes, the decoded [][2]int (json.Unmarshal reuses its
-// capacity), and the validated []mesh.Pair all live in one pooled
+// body bytes, the decoded PairList (its parser reuses the capacity),
+// and the validated []mesh.Pair all live in one pooled
 // bundle, so a steady stream of equal-sized batches parses with zero
 // slice growth. Safe to recycle when doBatch returns: even the
 // pipelined wire2 path joins its selection goroutine (the results
@@ -97,7 +100,7 @@ func (sc *jsonScratch) hopRows(paths []mesh.Path) [][]int {
 // afterwards.
 type batchScratch struct {
 	body  []byte
-	req   batchRequest
+	req   BatchRequest
 	pairs []mesh.Pair
 }
 
@@ -140,6 +143,9 @@ func (bs *batchScratch) pairsFor(n int) []mesh.Pair {
 // segRows shapes run-length paths into the flat
 // [start, dim0, run0, ...] JSON records, all backed by the scratch.
 func (sc *jsonScratch) segRows(sps []mesh.SegPath) [][]int {
+	if len(sps) == 0 {
+		return nil
+	}
 	total := 0
 	for _, sp := range sps {
 		total += 1 + 2*len(sp.Segs)

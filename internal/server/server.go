@@ -448,16 +448,6 @@ func (s *Server) selectChunkHops(kq *kreq, pairs []mesh.Pair, base uint64, lo, h
 // draws can never collide with another shard's primary streams.
 const maxStreamBase = 1 << 40
 
-// batchRequest is the /v1/batch body. Base offsets the stream ids:
-// pair i routes with stream base+i instead of i, which lets a gateway
-// split one logical batch across replicas and get back exactly the
-// bytes one replica would have produced for the whole batch
-// (advertised as the "batch-base" feature on /v1/mesh).
-type batchRequest struct {
-	Pairs [][2]int `json:"pairs"`
-	Base  uint64   `json:"base,omitempty"`
-}
-
 // batchResponse is the JSON /v1/batch reply. Path i belongs to pair i
 // and was drawn with stream i: a batch is a pure function of
 // (seed, pairs), so identical batches give identical paths — the

@@ -181,7 +181,7 @@ func TestRouteEndpointErrors(t *testing.T) {
 func TestBatchEndpointJSON(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 2, BatchChunk: 7})
 	m := srv.Mesh()
-	var req batchRequest
+	var req BatchRequest
 	for s := 0; s < m.Size(); s++ {
 		req.Pairs = append(req.Pairs, [2]int{s, (s + 17) % m.Size()})
 	}
@@ -222,7 +222,7 @@ func TestBatchEndpointJSON(t *testing.T) {
 func TestBatchEndpointWire(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 2, BatchChunk: 5})
 	m := srv.Mesh()
-	req := batchRequest{}
+	req := BatchRequest{}
 	for s := 0; s < 32; s++ {
 		req.Pairs = append(req.Pairs, [2]int{s, 63 - s})
 	}
@@ -280,18 +280,18 @@ func TestBatchEndpointWire(t *testing.T) {
 
 func TestBatchEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 4})
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batchRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Pairs: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}},
 	})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize batch: status %d (%s)", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/batch", batchRequest{Pairs: [][2]int{{0, 999}}})
+	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Pairs: [][2]int{{0, 999}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range pair: status %d (%s)", resp.StatusCode, body)
 	}
 	// An empty batch is legal and returns an empty path set.
-	resp, body = postJSON(t, ts.URL+"/v1/batch", batchRequest{})
+	resp, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("empty batch: status %d (%s)", resp.StatusCode, body)
 	}
@@ -299,13 +299,13 @@ func TestBatchEndpointErrors(t *testing.T) {
 
 func TestBatchDeadlineExceeded(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond, BatchChunk: 1})
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batchRequest{Pairs: [][2]int{{0, 63}}})
+	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Pairs: [][2]int{{0, 63}}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
 	}
 	// Wire mode: headers are already out, so the deadline truncates
 	// the stream and the decoder must reject it.
-	blob, _ := json.Marshal(batchRequest{Pairs: [][2]int{{0, 63}}})
+	blob, _ := json.Marshal(BatchRequest{Pairs: [][2]int{{0, 63}}})
 	wresp, err := http.Post(ts.URL+"/v1/batch?format=wire", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("route %d: %d", i, resp.StatusCode)
 		}
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/batch", batchRequest{Pairs: [][2]int{{0, 9}, {9, 0}}})
+	resp, _ := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Pairs: [][2]int{{0, 9}, {9, 0}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d", resp.StatusCode)
 	}
@@ -438,7 +438,7 @@ func TestChainSourceTable(t *testing.T) {
 	_, tts := newTestServer(t, Config{Seed: 5, ChainSource: "table"})
 	_, nts := newTestServer(t, Config{Seed: 5, ChainSource: "none"})
 
-	req := batchRequest{Pairs: [][2]int{{0, 63}, {63, 0}, {7, 42}, {11, 11}}}
+	req := BatchRequest{Pairs: [][2]int{{0, 63}, {63, 0}, {7, 42}, {11, 11}}}
 	_, tbody := postJSON(t, tts.URL+"/v1/batch", req)
 	_, nbody := postJSON(t, nts.URL+"/v1/batch", req)
 	if !bytes.Equal(tbody, nbody) {

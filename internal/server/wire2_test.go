@@ -13,7 +13,7 @@ import (
 func TestBatchEndpointWire2(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 2, BatchChunk: 5})
 	m := srv.Mesh()
-	req := batchRequest{}
+	req := BatchRequest{}
 	for s := 0; s < 32; s++ {
 		req.Pairs = append(req.Pairs, [2]int{s, 63 - s})
 	}
@@ -85,7 +85,7 @@ func TestBatchEndpointWire2(t *testing.T) {
 func TestBatchEndpointSegmentsJSON(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 4, PathFormat: "segments", BatchChunk: 3})
 	m := srv.Mesh()
-	req := batchRequest{Pairs: [][2]int{{0, 63}, {5, 5}, {17, 40}}}
+	req := BatchRequest{Pairs: [][2]int{{0, 63}, {5, 5}, {17, 40}}}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -125,7 +125,7 @@ func TestBatchEndpointSegmentsJSON(t *testing.T) {
 
 func TestBatchUnknownFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	blob, _ := json.Marshal(batchRequest{Pairs: [][2]int{{0, 1}}})
+	blob, _ := json.Marshal(BatchRequest{Pairs: [][2]int{{0, 1}}})
 	resp, err := http.Post(ts.URL+"/v1/batch?format=msgpack", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
