@@ -14,6 +14,7 @@ FUZZTIME ?= 5s
 # pkg:target pairs; `go test -fuzz` accepts one target per invocation.
 FUZZ_TARGETS := \
 	internal/core:FuzzSelectorPath \
+	internal/core:FuzzSelect \
 	internal/core:FuzzKSampleSelect \
 	internal/routetab:FuzzChainTable \
 	internal/decomp:FuzzTypeContaining \
@@ -42,9 +43,9 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 # (WireSeg, per path on a recorded side-256 batch), the loopback
 # ServerBatch, handler-level ServerBatchPipeline, and gateway-level
 # GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
-# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..16.json)
+# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..18.json)
 # form the trajectory.
-BENCH_JSON ?= BENCH_PR18.json
+BENCH_JSON ?= BENCH_PR19.json
 
 build:
 	$(GO) build ./...
@@ -89,8 +90,8 @@ bench-json:
 # compiled table) must beat the per-packet recompute reference
 # (ChainSourceNone) by >= 1.4x — and the k-sample budget: best-of-4
 # selection must cost <= 4.5x the k=1 baseline — and the serve-path
-# budget: the pipelined wire2 handler must allocate <= 0.5x the bytes
-# per request of the batch-then-encode loop on the side-256 mesh — and
+# budget: the pipelined wire2 handler must allocate <= 16 KiB per
+# 2048-pair request on the side-256 mesh — and
 # the splice budget: the gateway's zero-copy wire2 fan-in must allocate
 # <= 0.25x the bytes per batch of the decode/re-encode merge on a
 # 2048-pair side-256 batch over three shards — and the live booking

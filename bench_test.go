@@ -274,7 +274,8 @@ func BenchmarkSelectPermutationParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				paths, _ := sel.SelectAllParallel(prob.Pairs, workers)
+				paths := make([]mesh.Path, len(prob.Pairs))
+				sel.Select(core.Request{Pairs: prob.Pairs, Workers: workers, Paths: paths})
 				sink = paths
 			}
 		})
@@ -284,7 +285,7 @@ func BenchmarkSelectPermutationParallel(b *testing.B) {
 // BenchmarkSelectAndAccount compares the batch pipeline — SelectAll
 // followed by a separate full-path EdgeLoads walk — against the fused
 // engine, which reports every edge during the single selection pass
-// (SelectAllInto + observer) and reuses per-worker buffers. The fused
+// (Select with an edge hook) and reuses per-worker buffers. The fused
 // variants do at most one walk per packet and allocate less per op.
 func BenchmarkSelectAndAccount(b *testing.B) {
 	for _, c := range []struct {
@@ -314,9 +315,9 @@ func BenchmarkSelectAndAccount(b *testing.B) {
 				for e := range loads {
 					loads[e] = 0
 				}
-				sel.SelectAllInto(prob.Pairs, paths, func(pkt int, e mesh.EdgeID) {
-					loads[e]++
-				})
+				sel.Select(core.Request{Pairs: prob.Pairs, Workers: 1, Paths: paths, Hooks: core.Hooks{
+					Edge: func(pkt int, e mesh.EdgeID) { loads[e]++ },
+				}})
 				sink = loads
 			}
 		})
@@ -326,11 +327,11 @@ func BenchmarkSelectAndAccount(b *testing.B) {
 			live := metrics.NewLiveLoads(m, 0)
 			for i := 0; i < b.N; i++ {
 				live.Reset()
-				sel.SelectAllParallelIntoHooks(prob.Pairs, 0, paths, core.Hooks{
+				sel.Select(core.Request{Pairs: prob.Pairs, Paths: paths, Hooks: core.Hooks{
 					Path: func(pkt int, _ mesh.Pair, p mesh.Path, _ core.Stats) {
 						live.AddPath(m, uint64(pkt), p)
 					},
-				})
+				}})
 				sink = live
 			}
 		})

@@ -32,7 +32,7 @@ func NewChecker(r *Router) *Checker {
 // to SelectAll's; inspect ck.Err() or ck.Violations() afterwards.
 func SelectAllChecked(r *Router, pairs []Pair, ck *Checker) []Path {
 	paths := make([]Path, len(pairs))
-	r.SelectAllParallelIntoHooks(pairs, 0, paths, core.Hooks{Path: ck.PathObserver()})
+	r.Select(core.Request{Pairs: pairs, Paths: paths, Hooks: core.Hooks{Path: ck.PathObserver()}})
 	return paths
 }
 
@@ -43,6 +43,6 @@ func SelectAllChecked(r *Router, pairs []Pair, ck *Checker) []Path {
 // it. Expanding the results yields exactly SelectAll's paths.
 func SelectAllSegChecked(r *Router, pairs []Pair, ck *Checker) []SegPath {
 	sps := make([]SegPath, len(pairs))
-	r.SelectAllParallelSegInto(pairs, 0, sps, core.SegHooks{Seg: ck.SegPathObserver()})
+	r.Select(core.Request{Pairs: pairs, Segs: sps, Hooks: core.Hooks{Seg: ck.SegPathObserver()}})
 	return sps
 }

@@ -342,11 +342,11 @@ func route(cfg config, out io.Writer) error {
 		// Run-length engine: select, check and account in segment form;
 		// node lists are only materialized on demand (below).
 		sps = make([]mesh.SegPath, len(prob.Pairs))
-		var h core.SegHooks
+		var h core.Hooks
 		if checker != nil {
 			h.Seg = checker.SegPathObserver()
 		}
-		named.Sel.SelectAllParallelSegInto(prob.Pairs, cfg.workers, sps, h)
+		named.Sel.Select(core.Request{Pairs: prob.Pairs, Workers: cfg.workers, Segs: sps, Hooks: h})
 	case isCore:
 		// Core selectors route in parallel; obliviousness guarantees
 		// the result is identical to the sequential order.
@@ -355,7 +355,7 @@ func route(cfg config, out io.Writer) error {
 		if checker != nil {
 			h.Path = checker.PathObserver()
 		}
-		named.Sel.SelectAllParallelIntoHooks(prob.Pairs, cfg.workers, paths, h)
+		named.Sel.Select(core.Request{Pairs: prob.Pairs, Workers: cfg.workers, Paths: paths, Hooks: h})
 	default:
 		paths = baseline.SelectAll(algo, prob.Pairs)
 	}
@@ -618,15 +618,13 @@ func routeLiveK(out io.Writer, m *mesh.Mesh, sel *core.Selector, pairs []mesh.Pa
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	hooks := core.KSegHooks{
+	hooks := core.Hooks{
 		Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
 			tracker.AddSegPath(m, uint64(pkt), sp)
 		},
 	}
 	if checker != nil {
-		hooks.Cand = func(pkt int, pr mesh.Pair, sp mesh.SegPath, _ core.Stats, committed int, _ []int64) {
-			checker.CheckSegPath(pr.S, pr.T, core.KSampleStream(uint64(pkt), committed), sp)
-		}
+		hooks.Cand = checker.KSampleObserver()
 	}
 
 	snap := make([]int64, m.EdgeSpace())
@@ -638,7 +636,7 @@ func routeLiveK(out io.Writer, m *mesh.Mesh, sel *core.Selector, pairs []mesh.Pa
 			hi = len(pairs)
 		}
 		tracker.SnapshotInto(snap)
-		_, eks := sel.SelectRangeParallelKSegInto(pairs, snap, lo, hi, workers, sps, hooks)
+		_, eks := sel.Select(core.Request{Pairs: pairs[lo:hi], Base: uint64(lo), Workers: workers, Snapshot: snap, Segs: sps[lo:hi], Hooks: hooks})
 		ks.Merge(eks)
 		for i := lo; i < hi; i++ {
 			l := int64(sps[i].Len())

@@ -10,13 +10,11 @@
 //	           [-max-inflight 0] [-max-queue 0] [-max-batch 65536]
 //	           [-workers 4] [-timeout 10s] [-drain-timeout 30s]
 //	           [-pathfmt hops] [-chainsource table]
-//	           [-ksample 1] [-pprof] [-nopipeline]
+//	           [-ksample 1] [-pprof]
 //
 // -pprof mounts net/http/pprof under /debug/pprof/ on this server's
 // mux (never the global one); it is off by default and should stay off
-// on untrusted networks. -nopipeline reverts ?format=wire2 batches to
-// the sequential batch-then-encode loop — a kill switch; the bytes
-// served are identical either way.
+// on untrusted networks.
 //
 // -ksample k > 1 switches the daemon to semi-oblivious selection: each
 // packet draws k independent algorithm-H candidate paths and commits
@@ -86,7 +84,6 @@ type config struct {
 	chainSource  string
 	ksample      int
 	pprof        bool
-	noPipeline   bool
 }
 
 // run is the testable body of the daemon: parse flags, bind, serve
@@ -113,7 +110,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.chainSource, "chainsource", "table", `chain backend: "table" (compiled routing table) or "none" (recompute per packet)`)
 	fs.IntVar(&cfg.ksample, "ksample", 1, "semi-oblivious candidates per packet: draw k algorithm-H paths, commit the least live-loaded (1 = pure algorithm H)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; enable only on trusted networks)")
-	fs.BoolVar(&cfg.noPipeline, "nopipeline", false, "serve ?format=wire2 batches with the sequential batch-then-encode loop instead of the select/encode pipeline (identical bytes; kill switch)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -173,17 +169,16 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 		return err
 	}
 	srv, err := server.New(server.Config{
-		Mesh:            m,
-		Seed:            cfg.seed,
-		ChainSource:     cfg.chainSource,
-		MaxInFlight:     cfg.maxInFlight,
-		MaxQueue:        cfg.maxQueue,
-		MaxBatch:        cfg.maxBatch,
-		BatchWorkers:    cfg.workers,
-		RequestTimeout:  cfg.timeout,
-		PathFormat:      cfg.pathFmt,
-		KSample:         cfg.ksample,
-		DisablePipeline: cfg.noPipeline,
+		Mesh:           m,
+		Seed:           cfg.seed,
+		ChainSource:    cfg.chainSource,
+		MaxInFlight:    cfg.maxInFlight,
+		MaxQueue:       cfg.maxQueue,
+		MaxBatch:       cfg.maxBatch,
+		BatchWorkers:   cfg.workers,
+		RequestTimeout: cfg.timeout,
+		PathFormat:     cfg.pathFmt,
+		KSample:        cfg.ksample,
 	})
 	if err != nil {
 		return err

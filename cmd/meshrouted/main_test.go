@@ -42,7 +42,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"removed chainsource cache", []string{"-chainsource", "cache"}, 2, `-chainsource: chain source "cache" was removed`},
 		{"removed nochaincache flag", []string{"-nochaincache"}, 2, "flag provided but not defined: -nochaincache"},
 		{"bad pprof value", []string{"-pprof=maybe"}, 2, "invalid boolean value"},
-		{"bad nopipeline value", []string{"-nopipeline=nah"}, 2, "invalid boolean value"},
+		{"removed nopipeline flag", []string{"-nopipeline"}, 2, "flag provided but not defined: -nopipeline"},
 	}
 	for _, tc := range cases {
 		tc := tc

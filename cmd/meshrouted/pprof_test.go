@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -51,26 +49,5 @@ func TestPprofEnabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz behind pprof mux: status %d", resp.StatusCode)
-	}
-}
-
-// TestNoPipelineFlagServes: -nopipeline boots and serves wire2 batches
-// through the sequential loop — the kill switch must stay a working
-// server, not just a parseable flag.
-func TestNoPipelineFlagServes(t *testing.T) {
-	baseURL, shutdown := bootDaemon(t, "-side", "4", "-nopipeline")
-	defer shutdown()
-	blob, _ := json.Marshal(map[string]any{"pairs": [][2]int{{0, 15}, {3, 12}}})
-	resp, err := http.Post(baseURL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wire2 batch with -nopipeline: status %d (%s)", resp.StatusCode, body)
-	}
-	if !bytes.HasPrefix(body, []byte("OMP2")) {
-		t.Fatalf("-nopipeline response is not an OMP2 stream: %q...", body[:min(len(body), 8)])
 	}
 }

@@ -2,6 +2,7 @@ package obliviousmesh_test
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	obliviousmesh "obliviousmesh"
 )
@@ -22,6 +23,33 @@ func Example() {
 	// distance: 64
 	// valid: true
 	// within Theorem 3.4 bound: true
+}
+
+// Router.Select is the one batch entry point: here four workers route
+// a shard of a larger batch (streams 100..) into a caller's slice with
+// an edge hook, and match a whole-batch SelectAll at those positions.
+func ExampleRouter_Select() {
+	m, _ := obliviousmesh.NewMesh(2, 16)
+	r, _ := obliviousmesh.NewRouter(m, obliviousmesh.RouterOptions{Seed: 7})
+	pairs := obliviousmesh.RandomPermutation(m, 1).Pairs
+
+	whole, _ := r.SelectAll(pairs)
+	shard := make([]obliviousmesh.Path, len(pairs)-100)
+	var edges atomic.Int64
+	r.Select(obliviousmesh.SelectRequest{
+		Pairs: pairs[100:], Base: 100, Workers: 4, Paths: shard,
+		Hooks: obliviousmesh.SelectHooks{Edge: func(int, obliviousmesh.EdgeID) { edges.Add(1) }},
+	})
+	same, want := true, int64(0)
+	for i, p := range shard {
+		same = same && fmt.Sprint(p) == fmt.Sprint(whole[100+i])
+		want += int64(p.Len())
+	}
+	fmt.Println("shard equals whole batch:", same)
+	fmt.Println("hook saw every edge:", edges.Load() == want)
+	// Output:
+	// shard equals whole batch: true
+	// hook saw every edge: true
 }
 
 // Routing a whole problem and measuring its quality.

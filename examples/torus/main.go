@@ -54,7 +54,7 @@ func main() {
 	for _, m := range []*obliviousmesh.Mesh{tor, msh} {
 		r, _ := obliviousmesh.NewRouter(m, obliviousmesh.RouterOptions{Seed: 2})
 		prob := obliviousmesh.Tornado(m)
-		paths, _ := r.SelectAllParallel(prob.Pairs, 0) // parallel engine, same result
+		paths, _ := r.SelectAll(prob.Pairs)
 		rep, err := obliviousmesh.Evaluate(m, prob.Pairs, paths)
 		if err != nil {
 			log.Fatal(err)

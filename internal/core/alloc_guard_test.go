@@ -18,8 +18,8 @@ import (
 // reservoirs, raw path — is served from the pooled scratch.
 const (
 	maxPathAllocs      = 3.0 // Selector.Path, warm, per call
-	maxSelectAllPerPkt = 3.0 // SelectAllInto, warm, per packet
-	maxSegTablePerPkt  = 1.0 // SelectAllSegInto, default backend, per packet
+	maxSelectAllPerPkt = 3.0 // hop-form Select, warm, per packet
+	maxSegTablePerPkt  = 1.0 // run-form Select, default backend, per packet
 )
 
 func TestPathAllocsWarm(t *testing.T) {
@@ -51,14 +51,14 @@ func TestSelectAllIntoAllocsWarm(t *testing.T) {
 	paths := make([]mesh.Path, len(prob.Pairs))
 	// Warm pass grows all scratch buffers.
 	for i := 0; i < 3; i++ {
-		sel.SelectAllInto(prob.Pairs, paths, nil)
+		sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Paths: paths})
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		sel.SelectAllInto(prob.Pairs, paths, nil)
+		sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Paths: paths})
 	})
 	perPkt := avg / float64(len(prob.Pairs))
 	if perPkt > maxSelectAllPerPkt {
-		t.Errorf("SelectAllInto allocates %.2f/packet warm (%.0f/batch over %d packets), budget %.1f",
+		t.Errorf("hop-form Select allocates %.2f/packet warm (%.0f/batch over %d packets), budget %.1f",
 			perPkt, avg, len(prob.Pairs), maxSelectAllPerPkt)
 	}
 }
@@ -78,14 +78,14 @@ func TestSelectAllSegTableAllocsWarm(t *testing.T) {
 	sps := make([]mesh.SegPath, len(prob.Pairs))
 	// Warm pass grows the scratch buffers (chain, segs, reservoirs).
 	for i := 0; i < 3; i++ {
-		sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{})
+		sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps})
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{})
+		sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps})
 	})
 	perPkt := avg / float64(len(prob.Pairs))
 	if perPkt > maxSegTablePerPkt {
-		t.Errorf("default-backend SelectAllSegInto allocates %.2f/packet warm (%.0f/batch over %d packets), budget %.1f",
+		t.Errorf("default-backend run-form Select allocates %.2f/packet warm (%.0f/batch over %d packets), budget %.1f",
 			perPkt, avg, len(prob.Pairs), maxSegTablePerPkt)
 	}
 }

@@ -110,7 +110,8 @@ func TestSelectChunkSegArenaGolden(t *testing.T) {
 					// Chunk-relative output, then copy out before the Reset a
 					// real pipeline would do (values survive; memory doesn't).
 					out := make([]mesh.SegPath, hi-lo)
-					agg.Merge(sel.SelectChunkSegArena(pairs, lo, hi, 3, out, ag, SegHooks{}))
+					cagg, _ := sel.Select(Request{Pairs: pairs[lo:hi], Base: uint64(lo), Workers: 3, Arena: ag, Segs: out})
+					agg.Merge(cagg)
 					for i, sp := range out {
 						got[lo+i] = mesh.SegPath{Start: sp.Start}
 						if len(sp.Segs) > 0 {
@@ -127,7 +128,7 @@ func TestSelectChunkSegArenaGolden(t *testing.T) {
 
 			// nil arena group: plain heap copies, same values.
 			out := make([]mesh.SegPath, len(pairs))
-			sel.SelectChunkSegArena(pairs, 0, len(pairs), 2, out, nil, SegHooks{})
+			sel.Select(Request{Pairs: pairs, Workers: 2, Segs: out})
 			arenaPathsEqual(t, tc.name+"/nil-arena", out, want)
 		})
 	}
@@ -156,7 +157,8 @@ func TestSelectChunkKSegArenaGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantAgg, wantKS := sel.SelectAllKSeg(pairs, snap)
+		want := make([]mesh.SegPath, len(pairs))
+		wantAgg, wantKS := sel.Select(Request{Pairs: pairs, Workers: 1, Snapshot: snap, Segs: want})
 
 		ag := &SegArenaGroup{}
 		got := make([]mesh.SegPath, len(pairs))
@@ -168,7 +170,7 @@ func TestSelectChunkKSegArenaGolden(t *testing.T) {
 				hi = len(pairs)
 			}
 			out := make([]mesh.SegPath, hi-lo)
-			wagg, wks := sel.SelectChunkKSegArena(pairs, snap, lo, hi, 3, out, ag, KSegHooks{})
+			wagg, wks := sel.Select(Request{Pairs: pairs[lo:hi], Base: uint64(lo), Workers: 3, Snapshot: snap, Arena: ag, Segs: out})
 			agg.Merge(wagg)
 			ks.Merge(wks)
 			for i, sp := range out {
@@ -207,11 +209,11 @@ func TestSelectChunkSegArenaAllocs(t *testing.T) {
 	warmups := 3
 	for i := 0; i < warmups; i++ {
 		ag.Reset()
-		sel.SelectChunkSegArena(pairs, 0, len(pairs), 0, out, ag, SegHooks{})
+		sel.Select(Request{Pairs: pairs, Arena: ag, Segs: out})
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		ag.Reset()
-		sel.SelectChunkSegArena(pairs, 0, len(pairs), 0, out, ag, SegHooks{})
+		sel.Select(Request{Pairs: pairs, Arena: ag, Segs: out})
 	})
 	// Serial fallback (one worker, warm scratch, warm slabs): the only
 	// tolerated allocations are incidental (goroutine bookkeeping when

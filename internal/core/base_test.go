@@ -34,16 +34,16 @@ func TestSelectBaseComposition(t *testing.T) {
 		}
 
 		wantHops := make([]mesh.Path, n)
-		sel.SelectRangeParallelInto(pairs, 0, n, 2, wantHops, Hooks{})
+		sel.Select(Request{Pairs: pairs, Workers: 2, Paths: wantHops})
 		wantSegs := make([]mesh.SegPath, n)
-		sel.SelectRangeParallelSegInto(pairs, 0, n, 2, wantSegs, SegHooks{})
+		sel.Select(Request{Pairs: pairs, Workers: 2, Segs: wantSegs})
 
 		for c := 0; c+1 < len(cuts); c++ {
 			lo, hi := cuts[c], cuts[c+1]
 			shard := pairs[lo:hi]
 
 			gotHops := make([]mesh.Path, hi-lo)
-			sel.SelectRangeParallelBaseInto(shard, uint64(lo), 0, hi-lo, 2, gotHops, Hooks{})
+			sel.Select(Request{Pairs: shard, Base: uint64(lo), Workers: 2, Paths: gotHops})
 			for i := range shard {
 				if !pathsEqual([]mesh.Path{gotHops[i]}, []mesh.Path{wantHops[lo+i]}) {
 					t.Fatalf("seed %d shard [%d,%d): hop path %d diverges from whole-batch call", seed, lo, hi, lo+i)
@@ -51,7 +51,7 @@ func TestSelectBaseComposition(t *testing.T) {
 			}
 
 			gotSegs := make([]mesh.SegPath, hi-lo)
-			sel.SelectRangeParallelSegBaseInto(shard, uint64(lo), 0, hi-lo, 2, gotSegs, SegHooks{})
+			sel.Select(Request{Pairs: shard, Base: uint64(lo), Workers: 2, Segs: gotSegs})
 			for i := range shard {
 				if !segPathEqual(gotSegs[i], wantSegs[lo+i]) {
 					t.Fatalf("seed %d shard [%d,%d): seg path %d diverges from whole-batch call", seed, lo, hi, lo+i)
@@ -95,7 +95,7 @@ func TestSelectBaseCompositionKSample(t *testing.T) {
 	}
 
 	want := make([]mesh.SegPath, n)
-	wantAgg, wantKS := sel.SelectRangeParallelKSegInto(pairs, snap, 0, n, 2, want, KSegHooks{})
+	wantAgg, wantKS := sel.Select(Request{Pairs: pairs, Workers: 2, Snapshot: snap, Segs: want})
 
 	cuts := []int{0, 61, 62, 150, n}
 	var gotKS KStats
@@ -104,7 +104,7 @@ func TestSelectBaseCompositionKSample(t *testing.T) {
 		lo, hi := cuts[c], cuts[c+1]
 		shard := pairs[lo:hi]
 		got := make([]mesh.SegPath, hi-lo)
-		agg, ks := sel.SelectRangeParallelKSegBaseInto(shard, snap, uint64(lo), 0, hi-lo, 2, got, KSegHooks{})
+		agg, ks := sel.Select(Request{Pairs: shard, Base: uint64(lo), Workers: 2, Snapshot: snap, Segs: got})
 		gotKS.Merge(ks)
 		gotAgg.Merge(agg)
 		for i := range shard {

@@ -31,11 +31,11 @@ func BenchmarkSelectAll(b *testing.B) {
 			b.Run(c.name+"/"+cs.String(), func(b *testing.B) {
 				sel := MustNewSelector(c.m, Options{Variant: c.v, Seed: 1, ChainSource: cs})
 				paths := make([]mesh.Path, len(prob.Pairs))
-				sel.SelectAllInto(prob.Pairs, paths, nil) // warm pool
+				sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Paths: paths}) // warm pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sel.SelectAllInto(prob.Pairs, paths, nil)
+					sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Paths: paths})
 				}
 				sink = paths
 			})
@@ -63,11 +63,11 @@ func BenchmarkSelectAllSeg(b *testing.B) {
 			b.Run(c.name+"/"+cs.String(), func(b *testing.B) {
 				sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: cs})
 				sps := make([]mesh.SegPath, len(prob.Pairs))
-				sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{}) // warm scratch
+				sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps}) // warm scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{})
+					sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps})
 				}
 				sink = sps
 			})
@@ -103,12 +103,12 @@ func TestBenchGateSelectAllSegTable(t *testing.T) {
 	measure := func(opt Options) float64 {
 		sel := MustNewSelector(m, opt)
 		sps := make([]mesh.SegPath, len(prob.Pairs))
-		sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{}) // warm
+		sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps}) // warm
 		best := 0.0
 		for rep := 0; rep < 2; rep++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{})
+					sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps})
 				}
 			})
 			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
@@ -188,11 +188,11 @@ func BenchmarkSelectAllParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("workers%d/%s", workers, cs), func(b *testing.B) {
 				sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1, ChainSource: cs})
 				paths := make([]mesh.Path, len(prob.Pairs))
-				sel.SelectAllParallelInto(prob.Pairs, workers, paths, nil)
+				sel.Select(Request{Pairs: prob.Pairs, Workers: workers, Paths: paths})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sel.SelectAllParallelInto(prob.Pairs, workers, paths, nil)
+					sel.Select(Request{Pairs: prob.Pairs, Workers: workers, Paths: paths})
 				}
 				sink = paths
 			})

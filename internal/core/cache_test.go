@@ -120,7 +120,8 @@ func TestChainCacheParallelEquality(t *testing.T) {
 	prob := workload.RandomPermutation(m, 8)
 	want, wantAgg := selN.SelectAll(prob.Pairs)
 	for round := 0; round < 3; round++ {
-		got, agg := sel.SelectAllParallel(prob.Pairs, 8)
+		got := make([]mesh.Path, len(prob.Pairs))
+		agg, _ := sel.Select(Request{Pairs: prob.Pairs, Workers: 8, Paths: got})
 		if !pathsEqual(got, want) {
 			t.Fatalf("round %d: parallel default-backend paths differ", round)
 		}

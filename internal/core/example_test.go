@@ -41,13 +41,14 @@ func ExampleSelector_Explain() {
 }
 
 // Routing a batch in parallel is bit-identical to sequential routing.
-func ExampleSelector_SelectAllParallel() {
+func ExampleSelector_Select() {
 	m := mesh.MustSquare(2, 16)
 	sel := core.MustNewSelector(m, core.Options{Variant: core.Variant2D, Seed: 1})
 	pairs := []mesh.Pair{{S: 0, T: 255}, {S: 17, T: 200}, {S: 3, T: 3}}
 
 	seq, _ := sel.SelectAll(pairs)
-	par, _ := sel.SelectAllParallel(pairs, 4)
+	par := make([]mesh.Path, len(pairs))
+	sel.Select(core.Request{Pairs: pairs, Workers: 4, Paths: par})
 	same := len(seq) == len(par)
 	for i := range seq {
 		if len(seq[i]) != len(par[i]) {

@@ -35,10 +35,13 @@ func (sel *Selector) Explain(s, t mesh.NodeID, stream uint64) Trace {
 	return sel.construct(s, t, stream)
 }
 
-// PathStats is Path plus exact accounting.
+// PathStats is Path plus exact accounting. The hop path is the
+// segment engine's final runs expanded into an exact-size path, so both
+// representations select bit-for-bit identical paths.
 func (sel *Selector) PathStats(s, t mesh.NodeID, stream uint64) (mesh.Path, Stats) {
 	sc := sel.getScratch()
-	p, st := sel.constructPath(s, t, stream, sc)
+	runs, st, _, _ := sel.pick(s, t, stream, nil, sc)
+	p := expandRuns(sel.m, s, runs, st)
 	sel.putScratch(sc)
 	return p, st
 }
@@ -85,20 +88,6 @@ func (sel *Selector) newScratch() *scratch {
 // engines, which hold one scratch per worker for a whole range.
 func (sel *Selector) getScratch() *scratch   { return sel.pool.Get().(*scratch) }
 func (sel *Selector) putScratch(sc *scratch) { sel.pool.Put(sc) }
-
-// constructPath is the hop engine behind Path, PathStats and the fused
-// batch engines (SelectAllInto and friends): the segment engine's
-// final runs (selectRuns) expanded into an exact-size hop path, so
-// both representations select bit-for-bit identical paths.
-func (sel *Selector) constructPath(s, t mesh.NodeID, stream uint64, sc *scratch) (mesh.Path, Stats) {
-	if s == t {
-		return mesh.Path{s}, Stats{ChainLen: 1}
-	}
-	var st Stats
-	sc.segs2, st = sel.selectRuns(s, t, stream, sel.chainFor(s, t, sc), sc.segs2, sc)
-	sp := mesh.SegPath{Start: s, Segs: sc.segs2}
-	return sp.AppendExpand(sel.m, make(mesh.Path, 0, st.Len+1)), st
-}
 
 // construct runs the path-selection algorithm once with pooled
 // buffers and records the full trace for Explain. Scratch-aliasing

@@ -64,18 +64,18 @@ func TestSelectAllIntoDeterminism(t *testing.T) {
 			}
 
 			into := make([]mesh.Path, len(prob.Pairs))
-			intoAgg := sel.SelectAllInto(prob.Pairs, into, nil)
+			intoAgg, _ := sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Paths: into})
 			if !pathsEqual(into, want) {
-				t.Fatal("SelectAllInto differs from SelectAll")
+				t.Fatal("serial Select differs from SelectAll")
 			}
 			if intoAgg != wantAgg {
-				t.Fatalf("SelectAllInto aggregate mismatch: %+v vs %+v", intoAgg, wantAgg)
+				t.Fatalf("serial Select aggregate mismatch: %+v vs %+v", intoAgg, wantAgg)
 			}
 
 			par := make([]mesh.Path, len(prob.Pairs))
-			parAgg := sel.SelectAllParallelInto(prob.Pairs, 4, par, nil)
+			parAgg, _ := sel.Select(Request{Pairs: prob.Pairs, Workers: 4, Paths: par})
 			if !pathsEqual(par, want) {
-				t.Fatal("SelectAllParallelInto differs from SelectAll")
+				t.Fatal("parallel Select differs from SelectAll")
 			}
 			if parAgg != wantAgg {
 				t.Fatalf("parallel aggregate mismatch: %+v vs %+v", parAgg, wantAgg)
@@ -95,10 +95,10 @@ func TestSelectAllIntoObserver(t *testing.T) {
 	paths := make([]mesh.Path, len(prob.Pairs))
 	loads := make([]int64, m.EdgeSpace())
 	packets := make([]int, len(prob.Pairs))
-	sel.SelectAllInto(prob.Pairs, paths, func(pkt int, e mesh.EdgeID) {
+	sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Paths: paths, Hooks: Hooks{Edge: func(pkt int, e mesh.EdgeID) {
 		loads[e]++
 		packets[pkt]++
-	})
+	}}})
 
 	want := metrics.EdgeLoads(m, paths)
 	for e := range want {
@@ -123,9 +123,9 @@ func TestSelectAllParallelIntoObserverLive(t *testing.T) {
 
 	live := metrics.NewLiveLoads(m, 0)
 	paths := make([]mesh.Path, len(prob.Pairs))
-	sel.SelectAllParallelInto(prob.Pairs, 8, paths, func(pkt int, e mesh.EdgeID) {
+	sel.Select(Request{Pairs: prob.Pairs, Workers: 8, Paths: paths, Hooks: Hooks{Edge: func(pkt int, e mesh.EdgeID) {
 		live.Add(uint64(pkt), e)
-	})
+	}}})
 
 	want := metrics.EdgeLoads(m, paths)
 	got := live.Snapshot()
@@ -152,9 +152,9 @@ func TestSelectAllParallelExplicitWorkers(t *testing.T) {
 
 	var calls int64
 	paths := make([]mesh.Path, len(small))
-	agg := sel.SelectAllParallelInto(small, 8, paths, func(pkt int, e mesh.EdgeID) {
+	agg, _ := sel.Select(Request{Pairs: small, Workers: 8, Paths: paths, Hooks: Hooks{Edge: func(pkt int, e mesh.EdgeID) {
 		atomic.AddInt64(&calls, 1)
-	})
+	}}})
 	if !pathsEqual(paths, want) {
 		t.Fatal("explicit-worker run differs from SelectAll")
 	}
@@ -171,7 +171,8 @@ func TestSelectAllParallelExplicitWorkers(t *testing.T) {
 
 	// workers far above len(pairs) must clamp, not spawn idle workers
 	// or fall back to serial silently; result must still match.
-	paths2, agg2 := sel.SelectAllParallel(small, 64)
+	paths2 := make([]mesh.Path, len(small))
+	agg2, _ := sel.Select(Request{Pairs: small, Workers: 64, Paths: paths2})
 	if !pathsEqual(paths2, want) || agg2 != wantAgg {
 		t.Fatal("clamped run differs from SelectAll")
 	}

@@ -32,11 +32,11 @@ func BenchmarkKSample(b *testing.B) {
 					Variant: Variant2D, Seed: 1, ChainSource: ChainSourceTable, KSample: k,
 				})
 				sps := make([]mesh.SegPath, len(prob.Pairs))
-				sel.SelectAllKSegInto(prob.Pairs, snap, sps, KSegHooks{}) // warm scratch
+				sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: sps}) // warm scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sel.SelectAllKSegInto(prob.Pairs, snap, sps, KSegHooks{})
+					sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: sps})
 				}
 				sink = sps
 			})
@@ -65,12 +65,12 @@ func TestBenchGateKSample(t *testing.T) {
 			Variant: Variant2D, Seed: 1, ChainSource: ChainSourceTable, KSample: k,
 		})
 		sps := make([]mesh.SegPath, len(prob.Pairs))
-		sel.SelectAllKSegInto(prob.Pairs, snap, sps, KSegHooks{}) // warm
+		sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: sps}) // warm
 		best := 0.0
 		for rep := 0; rep < 2; rep++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sel.SelectAllKSegInto(prob.Pairs, snap, sps, KSegHooks{})
+					sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: sps})
 				}
 			})
 			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
@@ -82,7 +82,7 @@ func TestBenchGateKSample(t *testing.T) {
 	}
 	k1, k4 := measure(1), measure(4)
 	if k4 > 4.5*k1 {
-		t.Fatalf("k=4 SelectAllKSeg side-64: %.0f ns/op vs k=1 %.0f ns/op (%.2fx), want <= 4.5x",
+		t.Fatalf("k=4 Select side-64: %.0f ns/op vs k=1 %.0f ns/op (%.2fx), want <= 4.5x",
 			k4, k1, k4/k1)
 	}
 	t.Logf("k=1 %.0f ns/op, k=4 %.0f ns/op: %.2fx", k1, k4, k4/k1)

@@ -52,7 +52,8 @@ func TestKSampleGoldenK1(t *testing.T) {
 
 				for _, sel := range []*Selector{selT, selN} {
 					src := sel.Options().ChainSource
-					got, agg, ks := sel.SelectAllKSeg(prob.Pairs, snap)
+					got := make([]mesh.SegPath, len(prob.Pairs))
+					agg, ks := sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: got})
 					if !segPathsEqual(got, want) {
 						t.Fatalf("%v: k=1 serial paths differ from SelectAllSeg", src)
 					}
@@ -65,7 +66,7 @@ func TestKSampleGoldenK1(t *testing.T) {
 					}
 
 					sps := make([]mesh.SegPath, len(prob.Pairs))
-					pagg, pks := sel.SelectAllParallelKSegInto(prob.Pairs, snap, 4, sps, KSegHooks{})
+					pagg, pks := sel.Select(Request{Pairs: prob.Pairs, Workers: 4, Snapshot: snap, Segs: sps})
 					if !segPathsEqual(sps, want) {
 						t.Fatalf("%v: k=1 parallel paths differ from SelectAllSeg", src)
 					}
@@ -141,7 +142,7 @@ func TestKSampleCommitProperties(t *testing.T) {
 				checked++
 			}}
 			sps := make([]mesh.SegPath, len(prob.Pairs))
-			_, ks := sel.SelectAllKSegInto(prob.Pairs, snap, sps, h)
+			_, ks := sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: sps, Hooks: h})
 			if checked != len(prob.Pairs) {
 				t.Fatalf("observer saw %d packets, want %d", checked, len(prob.Pairs))
 			}
@@ -169,11 +170,12 @@ func TestKSampleDeterminism(t *testing.T) {
 	prob := workload.RandomPermutation(m, 23)
 	snap := fakeSnapshot(m, 99)
 
-	want, wantAgg, wantKS := sel.SelectAllKSeg(prob.Pairs, snap)
+	want := make([]mesh.SegPath, len(prob.Pairs))
+	wantAgg, wantKS := sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Snapshot: snap, Segs: want})
 
 	for _, workers := range []int{1, 3, 8} {
 		sps := make([]mesh.SegPath, len(prob.Pairs))
-		agg, ks := sel.SelectAllParallelKSegInto(prob.Pairs, snap, workers, sps, KSegHooks{})
+		agg, ks := sel.Select(Request{Pairs: prob.Pairs, Workers: workers, Snapshot: snap, Segs: sps})
 		if !segPathsEqual(sps, want) {
 			t.Fatalf("workers=%d: paths differ from serial", workers)
 		}
@@ -192,7 +194,7 @@ func TestKSampleDeterminism(t *testing.T) {
 		if hi > len(prob.Pairs) {
 			hi = len(prob.Pairs)
 		}
-		cagg, cks := sel.SelectRangeParallelKSegInto(prob.Pairs, snap, lo, hi, 3, sps, KSegHooks{})
+		cagg, cks := sel.Select(Request{Pairs: prob.Pairs[lo:hi], Base: uint64(lo), Workers: 3, Snapshot: snap, Segs: sps[lo:hi]})
 		agg.Merge(cagg)
 		ks.Merge(cks)
 	}
@@ -226,7 +228,7 @@ func TestKSampleFeedbackReducesCongestion(t *testing.T) {
 				hi = len(prob.Pairs)
 			}
 			live.SnapshotInto(snap)
-			sel.SelectRangeParallelKSegInto(prob.Pairs, snap, lo, hi, 4, sps, h)
+			sel.Select(Request{Pairs: prob.Pairs[lo:hi], Base: uint64(lo), Workers: 4, Snapshot: snap, Segs: sps[lo:hi], Hooks: h})
 		}
 		return metrics.CongestionSeg(m, sps)
 	}

@@ -16,7 +16,8 @@ func TestSelectAllParallelMatchesSequential(t *testing.T) {
 
 	seq, aggSeq := sel.SelectAll(prob.Pairs)
 	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
-		par, aggPar := sel.SelectAllParallel(prob.Pairs, workers)
+		par := make([]mesh.Path, len(prob.Pairs))
+		aggPar, _ := sel.Select(Request{Pairs: prob.Pairs, Workers: workers, Paths: par})
 		if len(par) != len(seq) {
 			t.Fatalf("workers=%d: %d paths", workers, len(par))
 		}
@@ -41,7 +42,8 @@ func TestSelectAllParallelSmallInput(t *testing.T) {
 	m := mesh.MustSquare(2, 8)
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
 	pairs := []mesh.Pair{{S: 0, T: 5}, {S: 3, T: 3}}
-	paths, agg := sel.SelectAllParallel(pairs, 8)
+	paths := make([]mesh.Path, len(pairs))
+	agg, _ := sel.Select(Request{Pairs: pairs, Workers: 8, Paths: paths})
 	if len(paths) != 2 || agg.Packets != 2 {
 		t.Fatalf("paths=%d agg=%+v", len(paths), agg)
 	}
@@ -55,21 +57,21 @@ func TestSelectAllParallelSmallInput(t *testing.T) {
 func TestSelectAllParallelEmpty(t *testing.T) {
 	m := mesh.MustSquare(2, 8)
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
-	paths, agg := sel.SelectAllParallel(nil, 4)
-	if len(paths) != 0 || agg.Packets != 0 {
-		t.Fatalf("paths=%d agg=%+v", len(paths), agg)
+	paths := []mesh.Path{}
+	agg, ks := sel.Select(Request{Workers: 4, Paths: paths})
+	if len(paths) != 0 || agg.Packets != 0 || ks.Candidates != 0 {
+		t.Fatalf("paths=%d agg=%+v ks=%+v", len(paths), agg, ks)
 	}
 }
 
-// Routing a batch in arbitrary deadline-check slices through
-// SelectRangeParallelInto must reproduce the whole-slice result
-// bit-for-bit: stream ids are global pair indexes, not slice offsets.
+// Routing a batch in arbitrary deadline-check slices — pairs[lo:hi]
+// with Base lo — must reproduce the whole-slice result bit-for-bit.
 func TestSelectRangeParallelIntoChunked(t *testing.T) {
 	m := mesh.MustSquare(2, 16)
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 9})
 	prob := workload.RandomPermutation(m, 9)
 	whole := make([]mesh.Path, len(prob.Pairs))
-	aggWhole := sel.SelectAllParallelInto(prob.Pairs, 0, whole, nil)
+	aggWhole, _ := sel.Select(Request{Pairs: prob.Pairs, Paths: whole})
 
 	for _, chunk := range []int{1, 7, 64, len(prob.Pairs), 10 * len(prob.Pairs)} {
 		chunked := make([]mesh.Path, len(prob.Pairs))
@@ -79,7 +81,8 @@ func TestSelectRangeParallelIntoChunked(t *testing.T) {
 			if hi > len(prob.Pairs) {
 				hi = len(prob.Pairs)
 			}
-			aggChunked.Merge(sel.SelectRangeParallelInto(prob.Pairs, lo, hi, 3, chunked, Hooks{}))
+			cagg, _ := sel.Select(Request{Pairs: prob.Pairs[lo:hi], Base: uint64(lo), Workers: 3, Paths: chunked[lo:hi]})
+			aggChunked.Merge(cagg)
 		}
 		for i := range whole {
 			if len(whole[i]) != len(chunked[i]) {
@@ -97,19 +100,32 @@ func TestSelectRangeParallelIntoChunked(t *testing.T) {
 	}
 }
 
+// TestSelectRangeParallelIntoBounds: a malformed Request — no output,
+// a short output, both outputs, or a hook of the other form — panics
+// before any packet is routed.
 func TestSelectRangeParallelIntoBounds(t *testing.T) {
 	m := mesh.MustSquare(2, 8)
 	sel := MustNewSelector(m, Options{Variant: Variant2D, Seed: 1})
 	pairs := []mesh.Pair{{S: 0, T: 5}, {S: 3, T: 9}}
 	paths := make([]mesh.Path, len(pairs))
-	for _, bad := range [][2]int{{-1, 1}, {0, 3}, {2, 1}} {
+	sps := make([]mesh.SegPath, len(pairs))
+	onSeg := func(int, mesh.Pair, mesh.SegPath, Stats) {}
+	onPath := func(int, mesh.Pair, mesh.Path, Stats) {}
+	for name, req := range map[string]Request{
+		"no output":    {Pairs: pairs},
+		"short paths":  {Pairs: pairs, Paths: paths[:1]},
+		"short segs":   {Pairs: pairs, Segs: sps[:1]},
+		"both outputs": {Pairs: pairs, Paths: paths, Segs: sps},
+		"seg hook":     {Pairs: pairs, Paths: paths, Hooks: Hooks{Seg: onSeg}},
+		"path hook":    {Pairs: pairs, Segs: sps, Hooks: Hooks{Path: onPath}},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("range %v: no panic", bad)
+					t.Errorf("%s: no panic", name)
 				}
 			}()
-			sel.SelectRangeParallelInto(pairs, bad[0], bad[1], 1, paths, Hooks{})
+			sel.Select(req)
 		}()
 	}
 }

@@ -53,7 +53,7 @@ func TestSegGoldenEquality(t *testing.T) {
 					}
 
 					par := make([]mesh.SegPath, len(prob.Pairs))
-					aggP := sel.SelectAllParallelSegInto(prob.Pairs, 8, par, SegHooks{})
+					aggP, _ := sel.Select(Request{Pairs: prob.Pairs, Workers: 8, Segs: par})
 					if aggP != wantAgg {
 						t.Fatalf("parallel seg aggregate %+v != hop %+v", aggP, wantAgg)
 					}
@@ -79,13 +79,13 @@ func TestSegCycleFallbackExercised(t *testing.T) {
 			sel := MustNewSelector(c.m, opt)
 			prob := workload.RandomPermutation(c.m, seed+3)
 			sps := make([]mesh.SegPath, len(prob.Pairs))
-			sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{
+			sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps, Hooks: Hooks{
 				Seg: func(_ int, _ mesh.Pair, _ mesh.SegPath, st Stats) {
 					if st.RawLen != st.Len {
 						cycles++
 					}
 				},
-			})
+			}})
 		}
 	}
 	if cycles == 0 {
@@ -180,9 +180,9 @@ func TestSegEdgeHookMatchesExpansion(t *testing.T) {
 	}
 	got := make(map[mesh.EdgeID]int)
 	sps := make([]mesh.SegPath, len(prob.Pairs))
-	sel.SelectAllSegInto(prob.Pairs, sps, SegHooks{
+	sel.Select(Request{Pairs: prob.Pairs, Workers: 1, Segs: sps, Hooks: Hooks{
 		Edge: func(_ int, e mesh.EdgeID) { got[e]++ },
-	})
+	}})
 	if len(got) != len(want) {
 		t.Fatalf("edge sets differ: %d vs %d", len(got), len(want))
 	}

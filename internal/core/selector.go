@@ -136,17 +136,17 @@ type Options struct {
 	// golden-equality suite pins that.
 	ChainSource ChainSource
 
-	// KSample is the semi-oblivious candidate count of the k-sample
-	// engines (SelectAllKSegInto and friends): each packet draws
+	// KSample is the semi-oblivious candidate count of Select with a
+	// Request.Snapshot (and of KSegPath): each packet draws
 	// KSample independent algorithm-H candidates and commits the one
 	// with the least maximum edge load under the caller's congestion
 	// snapshot, ties broken by the lowest candidate index. 0 and 1 both
 	// mean pure algorithm H — candidate 0 uses the packet's unmodified
 	// randomness stream, so k=1 output is byte-identical to SelectAllSeg
 	// (the golden contract TestKSampleGoldenK1 pins). Negative values
-	// are rejected by NewSelector. The plain engines (SelectAll,
-	// SelectAllSeg, Path) ignore KSample entirely: sampling needs a
-	// load snapshot, which only the K engines take.
+	// are rejected by NewSelector. Without a snapshot (SelectAll,
+	// SelectAllSeg, Path, Select with a nil Request.Snapshot) KSample
+	// is ignored: sampling needs a load snapshot.
 	KSample int
 }
 
@@ -397,14 +397,6 @@ func ceilLog2(v int) int {
 		b++
 	}
 	return b
-}
-
-// SelectAll selects a path for every pair of a routing problem; the
-// i-th packet uses stream i. Aggregate statistics are summed/maxed.
-func (sel *Selector) SelectAll(pairs []mesh.Pair) ([]mesh.Path, Aggregate) {
-	paths := make([]mesh.Path, len(pairs))
-	agg := sel.SelectAllInto(pairs, paths, nil)
-	return paths, agg
 }
 
 // Aggregate accumulates per-packet stats over a routing problem.

@@ -152,7 +152,7 @@ func TestRouteTableEngineEquality(t *testing.T) {
 
 	for _, workers := range []int{1, 3, 8} {
 		sps := make([]mesh.SegPath, len(prob.Pairs))
-		agg := selT.SelectAllParallelSegInto(prob.Pairs, workers, sps, SegHooks{})
+		agg, _ := selT.Select(Request{Pairs: prob.Pairs, Workers: workers, Segs: sps})
 		if !segPathsEqual(sps, want) {
 			t.Fatalf("workers=%d: parallel table seg paths differ", workers)
 		}
@@ -169,7 +169,8 @@ func TestRouteTableEngineEquality(t *testing.T) {
 			if hi > len(prob.Pairs) {
 				hi = len(prob.Pairs)
 			}
-			chunkAgg.Merge(selT.SelectRangeParallelSegInto(prob.Pairs, lo, hi, workers, chunked, SegHooks{}))
+			cagg, _ := selT.Select(Request{Pairs: prob.Pairs[lo:hi], Base: uint64(lo), Workers: workers, Segs: chunked[lo:hi]})
+			chunkAgg.Merge(cagg)
 		}
 		if !segPathsEqual(chunked, want) {
 			t.Fatalf("workers=%d: chunked table seg paths differ", workers)
@@ -181,7 +182,8 @@ func TestRouteTableEngineEquality(t *testing.T) {
 
 	// Hop-path parallel engine against the serial recomputed paths.
 	wantP, _ := selN.SelectAll(prob.Pairs)
-	gotP, _ := selT.SelectAllParallel(prob.Pairs, 6)
+	gotP := make([]mesh.Path, len(prob.Pairs))
+	selT.Select(Request{Pairs: prob.Pairs, Workers: 6, Paths: gotP})
 	if !pathsEqual(gotP, wantP) {
 		t.Fatal("parallel table hop paths differ")
 	}

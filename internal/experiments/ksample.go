@@ -75,7 +75,7 @@ func runKSampleEpochs(sel *core.Selector, pairs []mesh.Pair, epochs int) (int, c
 		chunk = 1
 	}
 	var ks core.KStats
-	hooks := core.KSegHooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
+	hooks := core.Hooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
 		live.AddSegPath(m, uint64(pkt), sp)
 	}}
 	for lo := 0; lo < len(pairs); lo += chunk {
@@ -84,7 +84,7 @@ func runKSampleEpochs(sel *core.Selector, pairs []mesh.Pair, epochs int) (int, c
 			hi = len(pairs)
 		}
 		live.SnapshotInto(snap)
-		_, eks := sel.SelectRangeParallelKSegInto(pairs, snap, lo, hi, 0, sps, hooks)
+		_, eks := sel.Select(core.Request{Pairs: pairs[lo:hi], Base: uint64(lo), Snapshot: snap, Segs: sps[lo:hi], Hooks: hooks})
 		ks.Merge(eks)
 	}
 	return metrics.CongestionSeg(m, sps), ks

@@ -234,7 +234,7 @@ func (e *Engine) CheckLiveAgreement(live *metrics.LiveLoads, paths []mesh.Path) 
 }
 
 // PathObserver adapts the engine to the core batch-selection hook:
-// attach with SelectAllIntoHooks / SelectAllParallelIntoHooks.
+// attach as core.Hooks.Path of a hop-form core.Request.
 func (e *Engine) PathObserver() core.PathObserver {
 	return func(packet int, pr mesh.Pair, p mesh.Path, _ core.Stats) {
 		e.CheckPath(pr.S, pr.T, uint64(packet), p)

@@ -104,7 +104,7 @@ func TestPathObserverHook(t *testing.T) {
 	e := newEngine(t, m, core.Options{Variant: core.Variant2D, Seed: 1})
 	pairs := workload.RandomPermutation(m, 7).Pairs
 	paths := make([]mesh.Path, len(pairs))
-	e.Selector().SelectAllIntoHooks(pairs, paths, core.Hooks{Path: e.PathObserver()})
+	e.Selector().Select(core.Request{Pairs: pairs, Workers: 1, Paths: paths, Hooks: core.Hooks{Path: e.PathObserver()}})
 	if got := e.Checked(); got != uint64(len(pairs)) {
 		t.Fatalf("checked %d packets, want %d", got, len(pairs))
 	}
@@ -114,7 +114,7 @@ func TestPathObserverHook(t *testing.T) {
 	// Same thing through the parallel engine; the observer must be
 	// race-clean (run under -race by make verify).
 	e.Reset()
-	e.Selector().SelectAllParallelIntoHooks(pairs, 4, paths, core.Hooks{Path: e.PathObserver()})
+	e.Selector().Select(core.Request{Pairs: pairs, Workers: 4, Paths: paths, Hooks: core.Hooks{Path: e.PathObserver()}})
 	if got := e.Checked(); got != uint64(len(pairs)) {
 		t.Fatalf("parallel: checked %d packets, want %d", got, len(pairs))
 	}
@@ -131,9 +131,9 @@ func TestCheckLiveAgreement(t *testing.T) {
 	pairs := workload.RandomPermutation(m, 7).Pairs
 	paths := make([]mesh.Path, len(pairs))
 	live := metrics.NewLiveLoads(m, 4)
-	e.Selector().SelectAllParallelInto(pairs, 0, paths, func(pkt int, ed mesh.EdgeID) {
+	e.Selector().Select(core.Request{Pairs: pairs, Paths: paths, Hooks: core.Hooks{Edge: func(pkt int, ed mesh.EdgeID) {
 		live.Add(uint64(pkt), ed)
-	})
+	}}})
 	if vs := e.CheckLiveAgreement(live, paths); len(vs) != 0 {
 		t.Fatalf("clean tracker flagged: %v", vs)
 	}

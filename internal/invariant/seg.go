@@ -85,10 +85,20 @@ func segsEqual(got, want mesh.SegPath) error {
 	return nil
 }
 
-// SegPathObserver adapts the engine to the segment batch-selection
-// hook: attach as core.SegHooks.Seg.
+// SegPathObserver adapts the engine to the run-form batch-selection
+// hook: attach as core.Hooks.Seg.
 func (e *Engine) SegPathObserver() core.SegObserver {
 	return func(packet int, pr mesh.Pair, sp mesh.SegPath, _ core.Stats) {
 		e.CheckSegPath(pr.S, pr.T, uint64(packet), sp)
+	}
+}
+
+// KSampleObserver adapts the engine to the k-sample hook: attach as
+// core.Hooks.Cand. Each committed path is checked under its
+// candidate's stream, core.KSampleStream(packet, committed), which is
+// the stream a replay must use.
+func (e *Engine) KSampleObserver() core.KSampleObserver {
+	return func(packet int, pr mesh.Pair, sp mesh.SegPath, _ core.Stats, committed int, _ []int64) {
+		e.CheckSegPath(pr.S, pr.T, core.KSampleStream(uint64(packet), committed), sp)
 	}
 }

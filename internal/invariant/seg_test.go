@@ -30,8 +30,8 @@ func TestCheckSegPathAllClean(t *testing.T) {
 			e := newEngine(t, cfg.m, cfg.opt)
 			prob := workload.RandomPermutation(cfg.m, 42)
 			sps := make([]mesh.SegPath, len(prob.Pairs))
-			e.Selector().SelectAllParallelSegInto(prob.Pairs, 0, sps,
-				core.SegHooks{Seg: e.SegPathObserver()})
+			e.Selector().Select(core.Request{Pairs: prob.Pairs, Segs: sps,
+				Hooks: core.Hooks{Seg: e.SegPathObserver()}})
 			if err := e.Err(); err != nil {
 				t.Fatal(err)
 			}

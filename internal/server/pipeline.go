@@ -57,30 +57,13 @@ func (s *Server) getPipeBuf() *pipeBuf {
 
 func (s *Server) putPipeBuf(b *pipeBuf) { s.pipe.Put(b) }
 
-// selectChunkSegsArena is selectChunkSegs into a chunk-relative slab:
-// pairs[lo:hi] → out[0:hi-lo], committed Segs carved from ag. The
-// k-sample refresh semantics are unchanged — the snapshot is taken
-// right before the chunk routes, so it sees exactly the load earlier
-// chunks booked, the same order the batch-then-encode path produced.
-func (s *Server) selectChunkSegsArena(kq *kreq, pairs []mesh.Pair, base uint64, lo, hi int, out []mesh.SegPath, ag *core.SegArenaGroup, hooks core.SegHooks) {
-	if kq == nil {
-		s.sel.SelectChunkSegArenaBase(pairs, base, lo, hi, s.cfg.BatchWorkers, out, ag, hooks)
-		return
-	}
-	kq.refresh(s)
-	_, ks := s.sel.SelectChunkKSegArenaBase(pairs, kq.snap, base, lo, hi, s.cfg.BatchWorkers, out, ag,
-		core.KSegHooks{Edge: hooks.Edge, Seg: hooks.Seg})
-	s.kc.add(ks)
-}
-
-// streamBatchSegWirePipelined is the pipelined wire2 batch path:
-// byte-identical output to streamBatchSegWireSerial (chunks are
-// selected and encoded in the same order with the same streams; only
-// the overlap and the memory source differ). A mid-stream deadline
-// truncates the response before the checksum trailer, exactly like the
-// serial path, so a partial flush can never be mistaken for a complete
-// stream.
-func (s *Server) streamBatchSegWirePipelined(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
+// streamBatchSegWire is the wire2 batch path: chunks are selected and
+// encoded in order with the same streams as one whole-batch Select, so
+// the bytes equal serial.EncodeWireSeg of SelectAllSeg at the same
+// base; only the overlap and the memory source differ. A mid-stream
+// deadline truncates the response before the checksum trailer, so a
+// partial flush can never be mistaken for a complete stream.
+func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
 	w.Header().Set("Content-Type", serial.WireSegContentType)
 	w.WriteHeader(http.StatusOK)
 	enc, err := serial.AcquireWireSegEncoder(w, s.m, len(pairs))
@@ -119,7 +102,7 @@ func (s *Server) streamBatchSegWirePipelined(ctx context.Context, w http.Respons
 				return
 			}
 			buf.arena.Reset() // reclaims the PREVIOUS tenant chunk's slabs
-			s.selectChunkSegsArena(kq, pairs, base, lo, hi, buf.sps[:hi-lo], buf.arena, hooks)
+			s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Arena: buf.arena, Segs: buf.sps[:hi-lo], Hooks: hooks})
 			select {
 			case results <- chunkResult{buf: buf, lo: lo, hi: hi}:
 			case <-stop:

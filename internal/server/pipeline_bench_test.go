@@ -34,14 +34,13 @@ func (d *discardWriter) Flush()                      {}
 // newPipelineBenchServer builds a wire2-serving handler on a 2-D mesh
 // of the given side, with chunking small enough that the batch really
 // flows through multiple pipeline handoffs.
-func newPipelineBenchServer(b testing.TB, side int, disable bool) (http.Handler, []byte, int) {
+func newPipelineBenchServer(b testing.TB, side int) (http.Handler, []byte, int) {
 	m := mesh.MustSquare(2, side)
 	srv, err := New(Config{
 		Mesh: m, Seed: 7,
 		MaxInFlight: 8, MaxQueue: 64,
-		RequestTimeout:  time.Minute,
-		BatchChunk:      256,
-		DisablePipeline: disable,
+		RequestTimeout: time.Minute,
+		BatchChunk:     256,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -59,8 +58,8 @@ func newPipelineBenchServer(b testing.TB, side int, disable bool) (http.Handler,
 // benchPipelineServe runs one wire2 batch per iteration through the
 // handler with a discarding writer; B/op is the serve path's live
 // allocation bill for a 2048-pair batch in 256-pair chunks.
-func benchPipelineServe(b *testing.B, side int, disable bool) {
-	handler, blob, size := newPipelineBenchServer(b, side, disable)
+func benchPipelineServe(b *testing.B, side int) {
+	handler, blob, size := newPipelineBenchServer(b, side)
 	req := httptest.NewRequest(http.MethodPost, "/v1/batch?format=wire2", nil)
 
 	serve := func() {
@@ -83,28 +82,29 @@ func benchPipelineServe(b *testing.B, side int, disable bool) {
 	b.ReportMetric(float64(size), "routes/op")
 }
 
-// BenchmarkServerBatchPipeline compares the pipelined slab-pooled
-// wire2 serve path against the batch-then-encode loop it replaced
-// (DisablePipeline). The interesting column is B/op: serial
-// materializes the whole batch's SegPaths on the heap, pipelined keeps
-// O(chunk) live bytes in recycled slabs.
+// BenchmarkServerBatchPipeline measures the pipelined slab-pooled
+// wire2 serve path. The interesting column is B/op: the pipeline keeps
+// O(chunk) live bytes in recycled slabs, however long the batch.
 func BenchmarkServerBatchPipeline(b *testing.B) {
 	for _, side := range []int{64, 256} {
 		b.Run("side"+itoa(side)+"/pipelined", func(b *testing.B) {
-			benchPipelineServe(b, side, false)
-		})
-		b.Run("side"+itoa(side)+"/serial", func(b *testing.B) {
-			benchPipelineServe(b, side, true)
+			benchPipelineServe(b, side)
 		})
 	}
 }
 
-// TestBenchGateServerPipeline is the CI benchmark gate for the
-// tentpole: on the side-256 mesh the pipelined wire2 serve path must
-// allocate at most half the bytes per request of batch-then-encode.
-// The gate runs with the regular suite (and explicitly in
-// `make bench-smoke`) so a pooling regression fails fast, not only
-// when someone re-runs `make bench-json`.
+// pipelineBudget is the allocation budget of one pipelined side-256
+// wire2 serve of 2048 pairs. BENCH_PR18.json measured 7,593 B/op; the
+// batch-then-encode loop the pipeline replaced materialized the whole
+// batch at about 188 KB/op.
+const pipelineBudget = 16 << 10
+
+// TestBenchGateServerPipeline is the CI benchmark gate of the serve
+// pipeline: on the side-256 mesh the pipelined wire2 serve path must
+// allocate at most pipelineBudget bytes per request. The gate runs
+// with the regular suite (and explicitly in `make bench-smoke`) so a
+// pooling regression fails fast, not only when someone re-runs
+// `make bench-json`.
 func TestBenchGateServerPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark gate is not a -short test")
@@ -113,22 +113,18 @@ func TestBenchGateServerPipeline(t *testing.T) {
 		t.Skip("race instrumentation distorts the allocation profile; the gate runs in the non-race suite")
 	}
 	// B/op is far more stable than ns/op, but pools can be emptied by a
-	// badly-timed GC — take the best of two runs per mode.
-	measure := func(disable bool) int64 {
-		best := int64(-1)
-		for rep := 0; rep < 2; rep++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				benchPipelineServe(b, 256, disable)
-			})
-			if ao := r.AllocedBytesPerOp(); best < 0 || ao < best {
-				best = ao
-			}
+	// badly-timed GC — take the best of two runs.
+	best := int64(-1)
+	for rep := 0; rep < 2; rep++ {
+		r := testing.Benchmark(func(b *testing.B) {
+			benchPipelineServe(b, 256)
+		})
+		if ao := r.AllocedBytesPerOp(); best < 0 || ao < best {
+			best = ao
 		}
-		return best
 	}
-	pipelined, serial := measure(false), measure(true)
-	if pipelined*2 > serial {
-		t.Fatalf("pipelined wire2 serve: %d B/op vs batch-then-encode %d B/op (%.2fx), want <= 0.5x",
-			pipelined, serial, float64(pipelined)/float64(serial))
+	if best > pipelineBudget {
+		t.Fatalf("pipelined wire2 serve: %d B/op, budget %d B/op", best, pipelineBudget)
 	}
+	t.Logf("pipelined wire2 serve: %d B/op, budget %d B/op", best, pipelineBudget)
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"obliviousmesh/internal/core"
 	"obliviousmesh/internal/mesh"
+	"obliviousmesh/internal/metrics"
 	"obliviousmesh/internal/serial"
 )
 
@@ -46,35 +48,76 @@ func testBatchPairs(m *mesh.Mesh, n int) [][2]int {
 	return pairs
 }
 
-// TestPipelineGoldenEquality is the tentpole's acceptance gate: the
-// pipelined wire2 response is byte-identical to the batch-then-encode
-// response across chain backends, k-sample modes, and seeds. Each
-// config gets two fresh servers fed identical request sequences, so
-// even the k>1 live-load feedback histories match.
+// localReplica routes wire2 batches the way a server with the same
+// seed and k does, with a local selector and tracker, and encodes each
+// batch in one piece with serial.EncodeWireSeg — the reference every
+// pipelined response must equal byte for byte. Each chunk of chunk
+// pairs is scored against a snapshot taken before it routes and booked
+// afterwards, the server's order; at k=1 the snapshot is ignored and a
+// batch is exactly SelectAllSeg's.
+type localReplica struct {
+	sel   *core.Selector
+	live  *metrics.LiveLoads
+	chunk int
+}
+
+func newLocalReplica(m *mesh.Mesh, seed uint64, k, chunk int) *localReplica {
+	return &localReplica{
+		sel:   core.MustNewSelector(m, core.Options{Variant: core.Variant2D, Seed: seed, KSample: k}),
+		live:  metrics.NewLiveLoads(m, 1),
+		chunk: chunk,
+	}
+}
+
+func (r *localReplica) wire2(t testing.TB, pairs [][2]int) []byte {
+	t.Helper()
+	m := r.sel.Mesh()
+	ps := make([]mesh.Pair, len(pairs))
+	for i, pr := range pairs {
+		ps[i] = mesh.Pair{S: mesh.NodeID(pr[0]), T: mesh.NodeID(pr[1])}
+	}
+	sps := make([]mesh.SegPath, len(ps))
+	snap := make([]int64, m.EdgeSpace())
+	for lo := 0; lo < len(ps); lo += r.chunk {
+		hi := min(lo+r.chunk, len(ps))
+		r.sel.Select(core.Request{Pairs: ps[lo:hi], Base: uint64(lo), Workers: 1, Snapshot: r.live.SnapshotInto(snap), Segs: sps[lo:hi]})
+		for i := lo; i < hi; i++ {
+			r.live.AddSegPath(m, uint64(i), sps[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := serial.EncodeWireSeg(&buf, m, sps); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPipelineGoldenEquality is the serve pipeline's acceptance gate:
+// the pipelined wire2 response is byte-identical to a local replica's
+// one-piece encoding across chain backends, k-sample modes, and seeds.
+// The replica books what it routes, so even the k>1 live-load feedback
+// histories match.
 func TestPipelineGoldenEquality(t *testing.T) {
 	for _, cs := range []string{"", "table"} {
 		for _, k := range []int{1, 4} {
 			for _, seed := range []uint64{1, 9} {
 				t.Run(fmt.Sprintf("cs=%s/k=%d/seed=%d", cs, k, seed), func(t *testing.T) {
 					cfg := Config{Seed: seed, ChainSource: cs, KSample: k, BatchChunk: 16, BatchWorkers: 3}
-					cfgSerial := cfg
-					cfgSerial.DisablePipeline = true
-					_, tsPipe := newTestServer(t, cfg)
-					_, tsSerial := newTestServer(t, cfgSerial)
+					srv, ts := newTestServer(t, cfg)
+					ref := newLocalReplica(srv.Mesh(), seed, k, cfg.BatchChunk)
 
-					pairs := testBatchPairs(mesh.MustSquare(2, 8), 100)
+					pairs := testBatchPairs(srv.Mesh(), 100)
 					// Two rounds: the second round's k>1 snapshots depend on
 					// the first round's booking, and the second round reuses
 					// the pipeline's pooled buffers.
 					for round := 0; round < 2; round++ {
-						codeP, bodyP := postWire2(t, tsPipe.URL, pairs)
-						codeS, bodyS := postWire2(t, tsSerial.URL, pairs)
-						if codeP != http.StatusOK || codeS != http.StatusOK {
-							t.Fatalf("round %d: status %d/%d", round, codeP, codeS)
+						code, body := postWire2(t, ts.URL, pairs)
+						if code != http.StatusOK {
+							t.Fatalf("round %d: status %d", round, code)
 						}
-						if !bytes.Equal(bodyP, bodyS) {
-							t.Fatalf("round %d: pipelined response differs from batch-then-encode (%d vs %d bytes)",
-								round, len(bodyP), len(bodyS))
+						if want := ref.wire2(t, pairs); !bytes.Equal(body, want) {
+							t.Fatalf("round %d: pipelined response differs from the local encoding (%d vs %d bytes)",
+								round, len(body), len(want))
 						}
 					}
 				})
@@ -150,25 +193,22 @@ func TestPipelineDeadlineMidStream(t *testing.T) {
 
 // TestPipelinePoolReuseSequential hammers one server with sequential
 // wire2 batches so the pooled pipeBufs, arenas, and encoders are
-// recycled across requests, checking every response against a
-// pipeline-disabled twin. Run under -race (make race) this is also the
-// pipeline's goroutine-lifecycle check.
+// recycled across requests, checking every response against a local
+// replica's one-piece encoding. Run under -race (make race) this is
+// also the pipeline's goroutine-lifecycle check.
 func TestPipelinePoolReuseSequential(t *testing.T) {
 	cfg := Config{Seed: 8, BatchChunk: 8, BatchWorkers: 2}
-	cfgSerial := cfg
-	cfgSerial.DisablePipeline = true
-	srv, tsPipe := newTestServer(t, cfg)
-	_, tsSerial := newTestServer(t, cfgSerial)
+	srv, ts := newTestServer(t, cfg)
+	ref := newLocalReplica(srv.Mesh(), cfg.Seed, 1, cfg.BatchChunk)
 	for round := 0; round < 6; round++ {
 		// Vary the batch size so slabs and chunk buffers are reused at
 		// different fill levels, including a final ragged chunk.
 		pairs := testBatchPairs(srv.Mesh(), 5+17*round)
-		codeP, bodyP := postWire2(t, tsPipe.URL, pairs)
-		codeS, bodyS := postWire2(t, tsSerial.URL, pairs)
-		if codeP != http.StatusOK || codeS != http.StatusOK {
-			t.Fatalf("round %d: status %d/%d", round, codeP, codeS)
+		code, body := postWire2(t, ts.URL, pairs)
+		if code != http.StatusOK {
+			t.Fatalf("round %d: status %d", round, code)
 		}
-		if !bytes.Equal(bodyP, bodyS) {
+		if !bytes.Equal(body, ref.wire2(t, pairs)) {
 			t.Fatalf("round %d: reused-pool response diverged", round)
 		}
 	}

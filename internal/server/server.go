@@ -93,12 +93,6 @@ type Config struct {
 	BatchChunk int
 	// RequestTimeout bounds each routing request (default 10s).
 	RequestTimeout time.Duration
-	// DisablePipeline keeps ?format=wire2 batches on the sequential
-	// batch-then-encode serve loop instead of the select/encode
-	// pipeline. The bytes on the wire are identical either way (the
-	// golden tests pin this); the switch exists as a kill switch and as
-	// the baseline the pipeline's benchmark gate compares against.
-	DisablePipeline bool
 	// TopK is how many hot edges /metrics exposes (default 10).
 	TopK int
 	// LoadShards overrides the LiveLoads shard count (default: auto).
@@ -379,14 +373,12 @@ func (s *Server) doRoute(w http.ResponseWriter, r *http.Request) (code int, rout
 }
 
 // kreq is the per-request state of a k>1 batch: the congestion
-// snapshot candidates are scored against — refreshed at the top of
+// snapshot candidates are scored against, refreshed at the top of
 // every chunk, so selection is deterministic within a chunk while
-// later chunks see the load earlier chunks booked — plus run-length
-// scratch for the hop formats. A k<=1 server routes with kreq nil and
-// the plain oblivious engines.
+// later chunks see the load earlier chunks booked. A k<=1 server
+// routes with kreq nil and plain algorithm H.
 type kreq struct {
 	snap []int64
-	sps  []mesh.SegPath
 }
 
 // newKreq returns the k-sample request state, nil when the server
@@ -398,48 +390,24 @@ func (s *Server) newKreq() *kreq {
 	return &kreq{}
 }
 
-// refresh re-snapshots the live tracker into the request's buffer.
-func (k *kreq) refresh(s *Server) {
-	if k.snap == nil {
-		k.snap = make([]int64, s.m.EdgeSpace())
-	}
-	s.live.SnapshotInto(k.snap)
-}
-
-// selectChunkSegs routes pairs[lo:hi] into sps[lo:hi] with the plain
-// segment engine, or — when the server samples — with the k-sample
-// engine against a freshly refreshed snapshot, folding the sampling
-// stats into the /metrics counters. base offsets every stream id, so
-// pair i routes with stream base+i.
-func (s *Server) selectChunkSegs(kq *kreq, pairs []mesh.Pair, base uint64, lo, hi int, sps []mesh.SegPath, hooks core.SegHooks) {
+// selectChunk routes one chunk of a batch, req.Pairs with streams from
+// req.Base, into whichever output req sets, across the configured
+// batch workers. A sampling server first refreshes the request's
+// snapshot, so the chunk scores against exactly the load earlier
+// chunks booked, and folds the sampling stats into the /metrics
+// counters.
+func (s *Server) selectChunk(kq *kreq, req core.Request) {
+	req.Workers = s.cfg.BatchWorkers
 	if kq == nil {
-		s.sel.SelectRangeParallelSegBaseInto(pairs, base, lo, hi, s.cfg.BatchWorkers, sps, hooks)
+		s.sel.Select(req)
 		return
 	}
-	kq.refresh(s)
-	_, ks := s.sel.SelectRangeParallelKSegBaseInto(pairs, kq.snap, base, lo, hi, s.cfg.BatchWorkers, sps,
-		core.KSegHooks{Edge: hooks.Edge, Seg: hooks.Seg})
+	if kq.snap == nil {
+		kq.snap = make([]int64, s.m.EdgeSpace())
+	}
+	req.Snapshot = s.live.SnapshotInto(kq.snap)
+	_, ks := s.sel.Select(req)
 	s.kc.add(ks)
-}
-
-// selectChunkHops is selectChunkSegs for the hop formats: a sampling
-// server routes run-length candidates and expands only the committed
-// paths into paths[lo:hi].
-func (s *Server) selectChunkHops(kq *kreq, pairs []mesh.Pair, base uint64, lo, hi int, paths []mesh.Path, hooks core.Hooks) {
-	if kq == nil {
-		s.sel.SelectRangeParallelBaseInto(pairs, base, lo, hi, s.cfg.BatchWorkers, paths, hooks)
-		return
-	}
-	if kq.sps == nil {
-		kq.sps = make([]mesh.SegPath, len(pairs))
-	}
-	kq.refresh(s)
-	_, ks := s.sel.SelectRangeParallelKSegBaseInto(pairs, kq.snap, base, lo, hi, s.cfg.BatchWorkers, kq.sps,
-		core.KSegHooks{Seg: s.segLiveHooks().Seg})
-	s.kc.add(ks)
-	for i := lo; i < hi; i++ {
-		paths[i] = kq.sps[i].Expand(s.m)
-	}
 }
 
 // maxStreamBase caps the "base" field of a batch request. It keeps
@@ -525,7 +493,7 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 	}
 
 	// Fused routing+accounting: every path lands in the live tracker
-	// run by run while the batch is being selected (the packet index
+	// run by run while the batch is being selected (the packet's stream
 	// spreads writers across counter shards).
 	hooks := core.Hooks{Path: func(pkt int, _ mesh.Pair, p mesh.Path, _ core.Stats) {
 		s.live.AddPath(s.m, uint64(pkt), p)
@@ -552,7 +520,7 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 		if hi > len(pairs) {
 			hi = len(pairs)
 		}
-		s.selectChunkHops(kq, pairs, base, lo, hi, paths, hooks)
+		s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Paths: paths[lo:hi], Hooks: hooks})
 	}
 	for _, p := range paths {
 		edges += int64(p.Len())
@@ -584,7 +552,7 @@ func (s *Server) streamBatchWire(ctx context.Context, w http.ResponseWriter, kq 
 		if hi > len(pairs) {
 			hi = len(pairs)
 		}
-		s.selectChunkHops(kq, pairs, base, lo, hi, paths, hooks)
+		s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Paths: paths[lo:hi], Hooks: hooks})
 		for _, p := range paths[lo:hi] {
 			if err := enc.Encode(p); err != nil {
 				return http.StatusInternalServerError, routes, edges
@@ -603,11 +571,11 @@ func (s *Server) streamBatchWire(ctx context.Context, w http.ResponseWriter, kq 
 }
 
 // segLiveHooks is the accounting hook of the segment engines: every
-// routed path lands in the live tracker run by run (the packet index
+// routed path lands in the live tracker run by run (the packet's stream
 // spreads writers across counter shards), the segment counterpart of
 // the per-path hook of the hop engines.
-func (s *Server) segLiveHooks() core.SegHooks {
-	return core.SegHooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
+func (s *Server) segLiveHooks() core.Hooks {
+	return core.Hooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
 		s.live.AddSegPath(s.m, uint64(pkt), sp)
 	}}
 }
@@ -637,7 +605,7 @@ func (s *Server) jsonBatchSeg(ctx context.Context, w http.ResponseWriter, kq *kr
 		if hi > len(pairs) {
 			hi = len(pairs)
 		}
-		s.selectChunkSegs(kq, pairs, base, lo, hi, sps, hooks)
+		s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Segs: sps[lo:hi], Hooks: hooks})
 	}
 	for _, sp := range sps {
 		edges += int64(sp.Len())
@@ -646,58 +614,6 @@ func (s *Server) jsonBatchSeg(ctx context.Context, w http.ResponseWriter, kq *kr
 	WriteJSON(w, http.StatusOK, segBatchResponse{SegPaths: sc.segRows(sps)})
 	s.putJSONScratch(sc)
 	return http.StatusOK, int64(len(sps)), edges
-}
-
-// streamBatchSegWire routes the batch with the segment-native engine
-// and streams the run-length wire format: through the select/encode
-// pipeline (pipeline.go) by default, or the sequential
-// batch-then-encode loop when Config.DisablePipeline is set. Both
-// produce identical bytes.
-func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
-	if !s.cfg.DisablePipeline {
-		return s.streamBatchSegWirePipelined(ctx, w, kq, pairs, base)
-	}
-	return s.streamBatchSegWireSerial(ctx, w, kq, pairs, base)
-}
-
-// streamBatchSegWireSerial is the pre-pipeline wire2 loop: materialize
-// the whole batch's SegPath slice, then select and encode each chunk
-// in turn — streamBatchWire without ever materializing hop paths. A
-// mid-stream deadline truncates before the checksum trailer.
-func (s *Server) streamBatchSegWireSerial(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
-	w.Header().Set("Content-Type", serial.WireSegContentType)
-	w.WriteHeader(http.StatusOK)
-	enc, err := serial.NewWireSegEncoder(w, s.m, len(pairs))
-	if err != nil {
-		return http.StatusInternalServerError, 0, 0
-	}
-	flusher, _ := w.(http.Flusher)
-	sps := make([]mesh.SegPath, len(pairs))
-	hooks := s.segLiveHooks()
-	for lo := 0; lo < len(pairs); lo += s.cfg.BatchChunk {
-		if ctx.Err() != nil {
-			return http.StatusGatewayTimeout, routes, edges // truncated: no trailer
-		}
-		hi := lo + s.cfg.BatchChunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		s.selectChunkSegs(kq, pairs, base, lo, hi, sps, hooks)
-		for _, sp := range sps[lo:hi] {
-			if err := enc.Encode(sp); err != nil {
-				return http.StatusInternalServerError, routes, edges
-			}
-			routes++
-			edges += int64(sp.Len())
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Close(); err != nil {
-		return http.StatusInternalServerError, routes, edges
-	}
-	return http.StatusOK, routes, edges
 }
 
 // NegotiateBatchFormat resolves the response encoding of a /v1/batch

@@ -58,6 +58,14 @@ type (
 	// EdgeObserver receives each packet's edges during fused batch
 	// selection (see SelectAllObserved).
 	EdgeObserver = core.Observer
+	// SelectRequest is one batch for Router.Select, the router's one
+	// batch entry point: pairs, stream base, workers, an optional
+	// k-sample snapshot, exactly one output slice (hop Paths or run
+	// Segs) and per-packet hooks.
+	SelectRequest = core.Request
+	// SelectHooks are the per-packet observers of a SelectRequest;
+	// each receives the packet's stream.
+	SelectHooks = core.Hooks
 	// TableStats is a snapshot of the router's compiled routing-table
 	// size (levels, families, 1-D cells, resident bytes); see
 	// Router.RouteTableStats.
@@ -181,11 +189,11 @@ func NewLiveLoads(m *Mesh, shards int) *LiveLoads {
 func SelectAllTracked(r *Router, pairs []Pair, live *LiveLoads) []Path {
 	m := r.Mesh()
 	paths := make([]Path, len(pairs))
-	r.SelectAllParallelIntoHooks(pairs, 0, paths, core.Hooks{
+	r.Select(core.Request{Pairs: pairs, Paths: paths, Hooks: core.Hooks{
 		Path: func(pkt int, _ Pair, p Path, _ RouterStats) {
 			live.AddPath(m, uint64(pkt), p)
 		},
-	})
+	}})
 	return paths
 }
 
@@ -195,7 +203,7 @@ func SelectAllTracked(r *Router, pairs []Pair, live *LiveLoads) []Path {
 // LiveLoads specialization.
 func SelectAllObserved(r *Router, pairs []Pair, observe EdgeObserver) []Path {
 	paths := make([]Path, len(pairs))
-	r.SelectAllInto(pairs, paths, observe)
+	r.Select(core.Request{Pairs: pairs, Workers: 1, Paths: paths, Hooks: core.Hooks{Edge: observe}})
 	return paths
 }
 
@@ -230,11 +238,11 @@ func SelectAllKSegTracked(r *Router, pairs []Pair, live *LiveLoads) ([]SegPath, 
 		snapshot = live.Snapshot()
 	}
 	sps := make([]SegPath, len(pairs))
-	_, ks := r.SelectAllParallelKSegInto(pairs, snapshot, 0, sps, core.KSegHooks{
+	_, ks := r.Select(core.Request{Pairs: pairs, Snapshot: snapshot, Segs: sps, Hooks: core.Hooks{
 		Seg: func(pkt int, _ Pair, sp SegPath, _ RouterStats) {
 			live.AddSegPath(m, uint64(pkt), sp)
 		},
-	})
+	}})
 	return sps, ks
 }
 

@@ -31,7 +31,8 @@ func TestSoakLargePermutation(t *testing.T) {
 		sel := core.MustNewSelector(m, core.Options{
 			Variant: core.Variant2D, Seed: 99, ChainSource: src,
 		})
-		paths, agg := sel.SelectAllParallel(prob.Pairs, 0)
+		paths := make([]mesh.Path, prob.N())
+		agg, _ := sel.Select(core.Request{Pairs: prob.Pairs, Paths: paths})
 		if agg.Packets != prob.N() {
 			t.Fatalf("%v: routed %d/%d", src, agg.Packets, prob.N())
 		}
