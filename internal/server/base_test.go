@@ -80,62 +80,67 @@ func fetchPaths(t *testing.T, m *mesh.Mesh, url, format string, req BatchRequest
 // TestBatchBase pins the sharding contract of the "base" field: a
 // sub-batch posted with base=lo serves exactly the paths the whole
 // batch serves at indexes [lo,hi) — in every encoding, across chunk
-// boundaries. The wire2 shards also equal serial.EncodeWireSeg of a
-// local SelectAllSeg's paths at the same positions.
+// boundaries, through the pipelined wire2 loop. The wire2 shards also
+// equal serial.EncodeWireSeg of a local SelectAllSeg's paths at the
+// same positions.
 func TestBatchBase(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 11, BatchChunk: 7})
-	m := srv.Mesh()
+	// The pipelined loop is the only wire2 path; the subtest keeps the
+	// name it had when a serial loop was tested beside it.
+	t.Run("pipelined=true", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{Seed: 11, BatchChunk: 7})
+		m := srv.Mesh()
 
-	var whole BatchRequest
-	for s := 0; s < m.Size(); s++ {
-		whole.Pairs = append(whole.Pairs, [2]int{s, (s*29 + 5) % m.Size()})
-	}
-	n := len(whole.Pairs)
-	cuts := []int{0, 1, 13, 14, 40, n} // uneven shards, not chunk-aligned
+		var whole BatchRequest
+		for s := 0; s < m.Size(); s++ {
+			whole.Pairs = append(whole.Pairs, [2]int{s, (s*29 + 5) % m.Size()})
+		}
+		n := len(whole.Pairs)
+		cuts := []int{0, 1, 13, 14, 40, n} // uneven shards, not chunk-aligned
 
-	for _, format := range []string{"json", "wire", "wire2"} {
-		want := fetchPaths(t, m, ts.URL, format, whole)
-		for c := 0; c+1 < len(cuts); c++ {
-			lo, hi := cuts[c], cuts[c+1]
-			shard := BatchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)}
-			got := fetchPaths(t, m, ts.URL, format, shard)
-			for i := range got {
-				if !samePath(got[i], want[lo+i]) {
-					t.Fatalf("format %s shard [%d,%d): path %d differs from whole batch", format, lo, hi, lo+i)
+		for _, format := range []string{"json", "wire", "wire2"} {
+			want := fetchPaths(t, m, ts.URL, format, whole)
+			for c := 0; c+1 < len(cuts); c++ {
+				lo, hi := cuts[c], cuts[c+1]
+				shard := BatchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)}
+				got := fetchPaths(t, m, ts.URL, format, shard)
+				for i := range got {
+					if !samePath(got[i], want[lo+i]) {
+						t.Fatalf("format %s shard [%d,%d): path %d differs from whole batch", format, lo, hi, lo+i)
+					}
 				}
 			}
 		}
-	}
 
-	local := core.MustNewSelector(m, core.Options{Variant: core.Variant2D, Seed: 11})
-	pairs := make([]mesh.Pair, n)
-	for i, pr := range whole.Pairs {
-		pairs[i] = mesh.Pair{S: mesh.NodeID(pr[0]), T: mesh.NodeID(pr[1])}
-	}
-	wantSegs, _ := local.SelectAllSeg(pairs)
-	for c := 0; c+1 < len(cuts); c++ {
-		lo, hi := cuts[c], cuts[c+1]
-		blob, err := json.Marshal(BatchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)})
-		if err != nil {
-			t.Fatal(err)
+		local := core.MustNewSelector(m, core.Options{Variant: core.Variant2D, Seed: 11})
+		pairs := make([]mesh.Pair, n)
+		for i, pr := range whole.Pairs {
+			pairs[i] = mesh.Pair{S: mesh.NodeID(pr[0]), T: mesh.NodeID(pr[1])}
 		}
-		resp, err := http.Post(ts.URL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
+		wantSegs, _ := local.SelectAllSeg(pairs)
+		for c := 0; c+1 < len(cuts); c++ {
+			lo, hi := cuts[c], cuts[c+1]
+			blob, err := json.Marshal(BatchRequest{Pairs: whole.Pairs[lo:hi], Base: uint64(lo)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := serial.EncodeWireSeg(&want, m, wantSegs[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Fatalf("wire2 shard [%d,%d): bytes differ from the local encoding", lo, hi)
+			}
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := serial.EncodeWireSeg(&want, m, wantSegs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(body, want.Bytes()) {
-			t.Fatalf("wire2 shard [%d,%d): bytes differ from the local encoding", lo, hi)
-		}
-	}
+	})
 }
 
 // TestBatchBaseKSample is TestBatchBase in the sampling regime a
