@@ -27,7 +27,6 @@ FUZZ_TARGETS := \
 	internal/metrics:FuzzLiveLoadsRuns \
 	internal/serial:FuzzLoadProblem \
 	internal/serial:FuzzLoadRun \
-	internal/serial:FuzzWirePaths \
 	internal/serial:FuzzWireSegPaths \
 	internal/serial:FuzzWireSegReframe \
 	internal/server:FuzzBatchRequest \
@@ -43,9 +42,9 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 # (WireSeg, per path on a recorded side-256 batch), the loopback
 # ServerBatch, handler-level ServerBatchPipeline, and gateway-level
 # GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
-# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..18.json)
+# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..19.json)
 # form the trajectory.
-BENCH_JSON ?= BENCH_PR19.json
+BENCH_JSON ?= BENCH_PR21.json
 
 build:
 	$(GO) build ./...
@@ -93,8 +92,8 @@ bench-json:
 # budget: the pipelined wire2 handler must allocate <= 16 KiB per
 # 2048-pair request on the side-256 mesh — and
 # the splice budget: the gateway's zero-copy wire2 fan-in must allocate
-# <= 0.25x the bytes per batch of the decode/re-encode merge on a
-# 2048-pair side-256 batch over three shards — and the live booking
+# <= 80 KiB per 2048-pair side-256 batch over three shards — and the
+# live booking
 # budget: booking a side-256 permutation batch into LiveLoads with
 # AddSegPath (two atomics per run) must cost <= 0.5x the non-atomic
 # per-hop recount AccumulateEdgeLoadsSeg of the same paths — and the
@@ -122,13 +121,13 @@ serve-smoke:
 	MESHROUTED_SMOKE=1 $(GO) test -run '^TestServeSmoke$$' -v ./cmd/meshrouted
 
 # End-to-end cluster gate: builds meshrouted and meshgate, boots three
-# routing daemons plus two sharding gateways (one spliced, one
-# -nosplice) as separate processes, streams ~19k routes through the
-# gateway with golden verification against a local Router and asserts
-# both gateways serve byte-identical checksum-verified wire2 streams,
-# SIGKILLs one backend mid-run (the remaining batches must still
-# verify — re-fan, zero wrong bytes), checks the merged metrics books,
-# then SIGTERMs everything and requires clean drains. See
-# cmd/meshgate/cluster_smoke_test.go.
+# routing daemons plus one sharding gateway (hedging off, so the kill
+# below must re-fan) as separate processes, streams ~19k routes
+# through the gateway with golden verification against a local Router
+# and asserts every batch's checksum-verified wire2 payload equals a
+# single daemon's, SIGKILLs one backend mid-run (the remaining batches
+# must still verify — re-fan, zero wrong bytes), checks the merged
+# metrics books, then SIGTERMs everything and requires clean drains.
+# See cmd/meshgate/cluster_smoke_test.go.
 cluster-smoke:
 	MESHGATE_SMOKE=1 $(GO) test -run '^TestClusterSmoke$$' -v ./cmd/meshgate

@@ -1,9 +1,6 @@
 package obliviousmesh
 
-import (
-	"obliviousmesh/internal/core"
-	"obliviousmesh/internal/invariant"
-)
+import "obliviousmesh/internal/invariant"
 
 // Paper-conformance checking (see internal/invariant and DESIGN.md §8).
 type (
@@ -19,30 +16,10 @@ type (
 )
 
 // NewChecker builds a conformance checker for paths selected by r. Use
-// it directly (CheckPath, CheckProblem), attach it to a batch run with
-// SelectAllChecked, or attach it to a Session with
-// s.Observe(ck.SessionObserver()).
+// it directly (CheckPath, CheckProblem), attach it to a batch run as a
+// Router.Select hook (SelectHooks{Path: ck.PathObserver()} or
+// SelectHooks{Seg: ck.SegPathObserver()}), or attach it to a Session
+// with s.Observe(ck.SessionObserver()).
 func NewChecker(r *Router) *Checker {
 	return invariant.New(r)
-}
-
-// SelectAllChecked routes a whole problem with algorithm H across all
-// CPUs while ck re-checks every selected path against the paper's
-// invariants during the same pass. The paths are bit-for-bit identical
-// to SelectAll's; inspect ck.Err() or ck.Violations() afterwards.
-func SelectAllChecked(r *Router, pairs []Pair, ck *Checker) []Path {
-	paths := make([]Path, len(pairs))
-	r.Select(core.Request{Pairs: pairs, Paths: paths, Hooks: core.Hooks{Path: ck.PathObserver()}})
-	return paths
-}
-
-// SelectAllSegChecked is SelectAllChecked in the run-length
-// representation: the segment-native engine selects, and ck verifies
-// every delivered run set against a re-derived trace (segpath-valid
-// and seg-agreement on top of the standard suite) without expanding
-// it. Expanding the results yields exactly SelectAll's paths.
-func SelectAllSegChecked(r *Router, pairs []Pair, ck *Checker) []SegPath {
-	sps := make([]SegPath, len(pairs))
-	r.Select(core.Request{Pairs: pairs, Segs: sps, Hooks: core.Hooks{Seg: ck.SegPathObserver()}})
-	return sps
 }

@@ -74,24 +74,13 @@ type ServerInfo struct {
 	// KSample is the daemon's semi-oblivious candidate count; 0 or 1
 	// means pure oblivious selection.
 	KSample int `json:"ksample"`
-	// Formats lists the /v1/batch encodings the daemon speaks. Empty on
-	// daemons predating wire2, which is how the client knows to stay on
-	// the per-hop wire format.
+	// Formats lists the /v1/batch encodings the daemon speaks ("json",
+	// "wire2"). Empty on daemons predating wire2.
 	Formats []string `json:"formats"`
 	// Features lists protocol capabilities beyond the encodings —
 	// "batch-base" means /v1/batch honors the sharding stream offset.
 	// Empty on older daemons.
 	Features []string `json:"features"`
-}
-
-// supports reports whether the daemon advertised a batch format.
-func (info ServerInfo) supports(format string) bool {
-	for _, f := range info.Formats {
-		if f == format {
-			return true
-		}
-	}
-	return false
 }
 
 // HasFeature reports whether the daemon advertised a protocol feature
@@ -190,58 +179,24 @@ func (c *Client) RouteBatch(ctx context.Context, pairs []Pair) ([]Path, error) {
 	return paths, nil
 }
 
-// RouteBatchWire is RouteBatch over the binary wire formats. When the
-// daemon advertises the run-length wire2 format (/v1/mesh "formats"),
-// the batch travels as OMP2 segments — roughly an order of magnitude
-// fewer bytes — and is expanded locally to the identical hop paths;
-// older daemons get the per-hop OMP1 request. Either way the reply is
-// decoded and validated against the server's topology, fetched once
-// via /v1/mesh and cached.
+// RouteBatchWire is RouteBatch over the binary wire2 format: the
+// batch travels as OMP2 segments — roughly an order of magnitude fewer
+// bytes than JSON — and is expanded locally to the identical hop
+// paths, decoded and validated against the server's topology (fetched
+// once via /v1/mesh and cached). Like RouteBatchSeg, it fails on
+// daemons that do not speak wire2.
 func (c *Client) RouteBatchWire(ctx context.Context, pairs []Pair) ([]Path, error) {
-	info, err := c.Info(ctx)
+	sps, err := c.RouteBatchSeg(ctx, pairs)
 	if err != nil {
 		return nil, err
-	}
-	if info.supports("wire2") {
-		sps, err := c.RouteBatchSeg(ctx, pairs)
-		if err != nil {
-			return nil, err
-		}
-		m, err := c.Mesh(ctx)
-		if err != nil {
-			return nil, err
-		}
-		paths := make([]Path, len(sps))
-		for i, sp := range sps {
-			paths[i] = sp.Expand(m)
-		}
-		return paths, nil
 	}
 	m, err := c.Mesh(ctx)
 	if err != nil {
 		return nil, err
 	}
-	blob, release := marshalPairs(pairs)
-	defer release()
-	var paths []Path
-	err = c.do(ctx, http.MethodPost, "/v1/batch?format=wire", blob, serial.WireContentType,
-		func(body io.Reader) error {
-			// Cap the read at the largest stream the decoder could accept
-			// for this pair count, so a lying server cannot balloon client
-			// memory by streaming forever.
-			lr := io.LimitReader(body, serial.MaxWireBytes(m, len(pairs)))
-			ps, err := serial.DecodeWire(lr, m, len(pairs))
-			if err != nil {
-				return fmt.Errorf("meshrouted: decode wire response: %w", err)
-			}
-			paths = ps
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) != len(pairs) {
-		return nil, fmt.Errorf("meshrouted: got %d paths for %d pairs", len(paths), len(pairs))
+	paths := make([]Path, len(sps))
+	for i, sp := range sps {
+		paths[i] = sp.Expand(m)
 	}
 	return paths, nil
 }
@@ -266,9 +221,8 @@ func (c *Client) RouteBatchSeg(ctx context.Context, pairs []Pair) ([]SegPath, er
 
 // RouteBatchSegFunc is the streaming form of RouteBatchSeg: fn
 // receives path i for pairs[i] as soon as it is decoded and validated,
-// so a consumer that processes paths on the fly (a gateway fanning a
-// batch back out, a tracker booking loads) holds O(1) paths of memory
-// regardless of batch size. Body reads are capped by the largest
+// so a consumer that processes paths on the fly (a tracker booking
+// loads) holds O(1) paths of memory regardless of batch size. Body reads are capped by the largest
 // stream the declared pair count permits, so a lying server cannot
 // balloon client memory.
 //
@@ -280,32 +234,11 @@ func (c *Client) RouteBatchSeg(ctx context.Context, pairs []Pair) ([]SegPath, er
 // consumers needing end-to-end integrity before acting must buffer
 // (RouteBatchSeg does exactly that).
 func (c *Client) RouteBatchSegFunc(ctx context.Context, pairs []Pair, fn func(i int, sp SegPath) error) error {
-	return c.RouteBatchSegFuncBase(ctx, pairs, 0, fn)
-}
-
-// RouteBatchSegFuncBase is RouteBatchSegFunc with a stream-id offset:
-// the server draws path i with stream base+i instead of i. This is the
-// sharding primitive — a gateway that fans pairs[lo:hi] out with
-// base=lo gets back exactly the paths one daemon would have produced
-// for the whole batch at those indexes. A nonzero base requires the
-// daemon to advertise the "batch-base" feature on /v1/mesh; older
-// daemons would silently route with the wrong streams, so the call
-// fails up front instead.
-func (c *Client) RouteBatchSegFuncBase(ctx context.Context, pairs []Pair, base uint64, fn func(i int, sp SegPath) error) error {
-	if base > 0 {
-		info, err := c.Info(ctx)
-		if err != nil {
-			return err
-		}
-		if !info.HasFeature("batch-base") {
-			return fmt.Errorf("meshrouted: daemon does not advertise the batch-base feature (base=%d)", base)
-		}
-	}
 	m, err := c.Mesh(ctx)
 	if err != nil {
 		return err
 	}
-	blob, release := marshalPairsBase(pairs, base)
+	blob, release := marshalPairs(pairs)
 	defer release()
 	return c.do(ctx, http.MethodPost, "/v1/batch?format=wire2", blob, serial.WireSegContentType,
 		func(body io.Reader) error {
@@ -354,11 +287,17 @@ type RawBatch struct {
 // the fragments), because obliviousness makes each shard's records
 // byte-identical to the single-daemon encoding at the same streams.
 //
-// Like RouteBatchSegFuncBase: a nonzero base requires the daemon's
-// "batch-base" feature, body reads are capped by the largest stream
-// the pair count permits, and delivery is at-most-once — bytes may
-// reach dst before the trailer is verified, so a consumer that must
-// not act on unverified data has to buffer until the call returns.
+// base is a stream-id offset: the server draws path i with stream
+// base+i instead of i. That is the sharding primitive — a gateway that
+// fans pairs[lo:hi] out with base=lo gets back exactly the records one
+// daemon would have produced for the whole batch at those indexes. A
+// nonzero base requires the daemon to advertise the "batch-base"
+// feature on /v1/mesh; older daemons would silently route with the
+// wrong streams, so the call fails up front instead. Like
+// RouteBatchSegFunc, body reads are capped by the largest stream the
+// pair count permits, and delivery is at-most-once — bytes may reach
+// dst before the trailer is verified, so a consumer that must not act
+// on unverified data has to buffer until the call returns.
 func (c *Client) RouteBatchWire2Raw(ctx context.Context, pairs []Pair, base uint64, dst io.Writer) (RawBatch, error) {
 	if base > 0 {
 		info, err := c.Info(ctx)

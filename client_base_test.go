@@ -17,51 +17,6 @@ import (
 	"obliviousmesh/internal/server"
 )
 
-// TestClientRouteBatchSegFuncBase pins the sharding primitive: with
-// base=b the server draws path i with stream b+i, so the streamed
-// shard must replay locally at those streams.
-func TestClientRouteBatchSegFuncBase(t *testing.T) {
-	const seed = 29
-	_, client := newService(t, server.Config{Seed: seed})
-	ctx := context.Background()
-
-	m, err := client.Mesh(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := obliviousmesh.NewRouter(m, obliviousmesh.RouterOptions{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pairs []obliviousmesh.Pair
-	for s := 0; s < 40; s++ {
-		pairs = append(pairs, obliviousmesh.Pair{
-			S: obliviousmesh.NodeID(s),
-			T: obliviousmesh.NodeID((s*7 + 3) % m.Size()),
-		})
-	}
-
-	const base = 1000
-	next := 0
-	err = client.RouteBatchSegFuncBase(ctx, pairs, base, func(i int, sp obliviousmesh.SegPath) error {
-		if i != next {
-			t.Fatalf("callback index %d, want %d", i, next)
-		}
-		next++
-		want := local.Path(pairs[i].S, pairs[i].T, base+uint64(i))
-		if !pathsEq(sp.Expand(m), want) {
-			t.Fatalf("pair %d: based stream path != local selection at stream %d", i, base+i)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != len(pairs) {
-		t.Fatalf("callback ran %d times for %d pairs", next, len(pairs))
-	}
-}
-
 // TestClientBaseNeedsFeature: a nonzero base against a daemon that
 // does not advertise batch-base must fail up front — the old daemon
 // would silently route with the wrong streams.
@@ -93,17 +48,16 @@ func TestClientBaseNeedsFeature(t *testing.T) {
 	t.Cleanup(ts.Close)
 	client := obliviousmesh.NewClient(ts.URL, obliviousmesh.ClientConfig{HTTPClient: ts.Client()})
 
-	err = client.RouteBatchSegFuncBase(context.Background(), []obliviousmesh.Pair{{S: 0, T: 9}}, 7,
-		func(int, obliviousmesh.SegPath) error {
-			t.Fatal("path delivered by a daemon without batch-base")
-			return nil
-		})
+	var payload bytes.Buffer
+	_, err = client.RouteBatchWire2Raw(context.Background(), []obliviousmesh.Pair{{S: 0, T: 9}}, 7, &payload)
 	if err == nil || !strings.Contains(err.Error(), "batch-base") {
 		t.Fatalf("old daemon accepted a based batch: %v", err)
 	}
+	if payload.Len() != 0 {
+		t.Fatalf("%d payload bytes delivered by a daemon without batch-base", payload.Len())
+	}
 	// base 0 needs no feature and must still work.
-	if err := client.RouteBatchSegFuncBase(context.Background(), []obliviousmesh.Pair{{S: 0, T: 9}}, 0,
-		func(int, obliviousmesh.SegPath) error { return nil }); err != nil {
+	if _, err := client.RouteBatchWire2Raw(context.Background(), []obliviousmesh.Pair{{S: 0, T: 9}}, 0, &payload); err != nil {
 		t.Fatalf("base 0 against old daemon: %v", err)
 	}
 }
@@ -118,7 +72,7 @@ func TestClientSegFuncBackendDiesMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := maliciousService(t, false, func(w http.ResponseWriter) {
+	client := maliciousService(t, func(w http.ResponseWriter) {
 		// A well-formed OMP2 stream for 4 paths... that dies inside the
 		// third: header, two complete paths, half a varint, reset.
 		var buf bytes.Buffer

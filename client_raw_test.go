@@ -119,7 +119,7 @@ func TestClientRouteBatchWire2RawMalicious(t *testing.T) {
 	}
 
 	t.Run("hugecount", func(t *testing.T) {
-		client := maliciousService(t, false, func(w http.ResponseWriter) {
+		client := maliciousService(t, func(w http.ResponseWriter) {
 			writeHeader(w, 1<<40)
 		})
 		var sink bytes.Buffer
@@ -132,7 +132,7 @@ func TestClientRouteBatchWire2RawMalicious(t *testing.T) {
 	t.Run("endless", func(t *testing.T) {
 		// A varint that never terminates: the scanner rejects it within
 		// 10 bytes, the LimitReader bounds the read regardless.
-		client := maliciousService(t, false, func(w http.ResponseWriter) {
+		client := maliciousService(t, func(w http.ResponseWriter) {
 			writeHeader(w, uint64(len(pairs)))
 			junk := make([]byte, 4096)
 			for i := range junk {
@@ -152,7 +152,7 @@ func TestClientRouteBatchWire2RawMalicious(t *testing.T) {
 	})
 
 	t.Run("truncated", func(t *testing.T) {
-		client := maliciousService(t, false, func(w http.ResponseWriter) {
+		client := maliciousService(t, func(w http.ResponseWriter) {
 			writeHeader(w, uint64(len(pairs)))
 		})
 		var sink bytes.Buffer

@@ -3,7 +3,6 @@ package obliviousmesh_test
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -85,9 +84,8 @@ func TestClientRouteBatchSegFunc(t *testing.T) {
 }
 
 // maliciousService wraps a real daemon but replaces POST /v1/batch
-// responses with attacker-controlled bytes; legacy strips the wire2
-// advertisement so RouteBatchWire takes the OMP1 branch.
-func maliciousService(t *testing.T, legacy bool, payload func(w http.ResponseWriter)) *obliviousmesh.Client {
+// responses with attacker-controlled bytes.
+func maliciousService(t *testing.T, payload func(w http.ResponseWriter)) *obliviousmesh.Client {
 	t.Helper()
 	m, err := obliviousmesh.NewMesh(2, 8)
 	if err != nil {
@@ -99,22 +97,11 @@ func maliciousService(t *testing.T, legacy bool, payload func(w http.ResponseWri
 	}
 	inner := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/v1/batch" && r.Method == http.MethodPost:
+		if r.URL.Path == "/v1/batch" && r.Method == http.MethodPost {
 			payload(w)
-		case r.URL.Path == "/v1/mesh" && legacy:
-			rec := httptest.NewRecorder()
-			inner.ServeHTTP(rec, r)
-			var mr map[string]any
-			if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil {
-				t.Error(err)
-			}
-			delete(mr, "formats")
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(mr)
-		default:
-			inner.ServeHTTP(w, r)
+			return
 		}
+		inner.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
 	return obliviousmesh.NewClient(ts.URL, obliviousmesh.ClientConfig{HTTPClient: ts.Client()})
@@ -139,7 +126,7 @@ func TestClientMaliciousServerBounded(t *testing.T) {
 	t.Run("wire2/hugecount", func(t *testing.T) {
 		// Declares 2^40 paths: rejected at header time, before any
 		// count-proportional allocation.
-		client := maliciousService(t, false, func(w http.ResponseWriter) {
+		client := maliciousService(t, func(w http.ResponseWriter) {
 			writeHeader(w, "OMP2", 1<<40)
 		})
 		err := client.RouteBatchSegFunc(ctx, pairs, func(int, obliviousmesh.SegPath) error {
@@ -155,7 +142,7 @@ func TestClientMaliciousServerBounded(t *testing.T) {
 		// Correct count, then an endless varint (0x80 continuation
 		// forever). The decoder gives up within bytes; the LimitReader
 		// bounds the read even if it did not.
-		client := maliciousService(t, false, func(w http.ResponseWriter) {
+		client := maliciousService(t, func(w http.ResponseWriter) {
 			writeHeader(w, "OMP2", uint64(len(pairs)))
 			junk := make([]byte, 4096)
 			for i := range junk {
@@ -175,23 +162,12 @@ func TestClientMaliciousServerBounded(t *testing.T) {
 
 	t.Run("wire2/truncated", func(t *testing.T) {
 		// Header only, then EOF: fewer paths than declared.
-		client := maliciousService(t, false, func(w http.ResponseWriter) {
+		client := maliciousService(t, func(w http.ResponseWriter) {
 			writeHeader(w, "OMP2", uint64(len(pairs)))
 		})
 		err := client.RouteBatchSegFunc(ctx, pairs, func(int, obliviousmesh.SegPath) error { return nil })
 		if err == nil {
 			t.Fatal("truncated stream decoded cleanly")
-		}
-	})
-
-	t.Run("wire1/hugecount", func(t *testing.T) {
-		// Legacy OMP1 branch: the same cap guards DecodeWire.
-		client := maliciousService(t, true, func(w http.ResponseWriter) {
-			writeHeader(w, "OMP1", 1<<40)
-		})
-		_, err := client.RouteBatchWire(ctx, pairs)
-		if err == nil || !strings.Contains(err.Error(), "decode wire response") {
-			t.Fatalf("legacy huge count not rejected: %v", err)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package obliviousmesh_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -112,8 +111,8 @@ func TestClientRoutesMatchLocalRouter(t *testing.T) {
 }
 
 // RouteBatchSeg must deliver the run-length form of exactly the local
-// selection, and RouteBatchWire must fall back to the per-hop OMP1
-// format against a daemon that predates wire2 (no /v1/mesh "formats").
+// selection, RouteBatchWire must travel as wire2, and against a daemon
+// that predates wire2 RouteBatchWire fails exactly like RouteBatchSeg.
 func TestClientWire2NegotiationAndSegBatch(t *testing.T) {
 	const seed = 23
 	m, err := obliviousmesh.NewMesh(2, 8)
@@ -143,19 +142,9 @@ func TestClientWire2NegotiationAndSegBatch(t *testing.T) {
 		if r.URL.Path == "/v1/batch" {
 			lastFormat.Store(r.URL.Query().Get("format"))
 		}
-		if r.URL.Path == "/v1/mesh" && legacy {
-			// Impersonate a pre-wire2 daemon: same topology, no
-			// "formats" advertisement.
-			rec := httptest.NewRecorder()
-			inner.ServeHTTP(rec, r)
-			var mr map[string]any
-			if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil {
-				t.Error(err)
-			}
-			delete(mr, "formats")
-			delete(mr, "pathFormat")
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(mr)
+		if r.URL.Path == "/v1/batch" && legacy && r.URL.Query().Get("format") == "wire2" {
+			// Impersonate a pre-wire2 daemon: wire2 is an unknown format.
+			server.WriteErr(w, http.StatusBadRequest, `unknown format "wire2"`)
 			return
 		}
 		inner.ServeHTTP(w, r)
@@ -182,18 +171,14 @@ func TestClientWire2NegotiationAndSegBatch(t *testing.T) {
 	}
 
 	legacy = true
-	old := obliviousmesh.NewClient(ts.URL, obliviousmesh.ClientConfig{HTTPClient: ts.Client()})
-	wirePaths, err := old.RouteBatchWire(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
+	_, segErr := client.RouteBatchSeg(ctx, pairs)
+	_, wireErr := client.RouteBatchWire(ctx, pairs)
+	var segHTTP, wireHTTP *obliviousmesh.HTTPError
+	if !errors.As(segErr, &segHTTP) || !errors.As(wireErr, &wireHTTP) {
+		t.Fatalf("pre-wire2 daemon: RouteBatchSeg %v, RouteBatchWire %v, want HTTP errors", segErr, wireErr)
 	}
-	if f := lastFormat.Load(); f != "wire" {
-		t.Fatalf("legacy daemon: RouteBatchWire used format %q, want wire", f)
-	}
-	for i, pr := range pairs {
-		if !pathsEq(wirePaths[i], local.Path(pr.S, pr.T, uint64(i))) {
-			t.Fatalf("pair %d: legacy wire path != local selection", i)
-		}
+	if *segHTTP != *wireHTTP || wireHTTP.StatusCode != http.StatusBadRequest {
+		t.Fatalf("pre-wire2 daemon: RouteBatchWire failed with %v, RouteBatchSeg with %v", wireErr, segErr)
 	}
 }
 

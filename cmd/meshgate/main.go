@@ -1,6 +1,6 @@
 // Command meshgate fronts a fleet of meshrouted replicas as one
 // daemon: it serves the identical HTTP surface (POST /v1/route, POST
-// /v1/batch in JSON or either binary wire format, GET /v1/mesh, GET
+// /v1/batch in JSON or the wire2 binary format, GET /v1/mesh, GET
 // /healthz, GET /metrics) and shards each batch across the backends by
 // contiguous global stream index. Because path selection is oblivious
 // — a path is a pure function of (seed, stream, source, target) — the
@@ -13,7 +13,7 @@
 //	         [-max-inflight 0] [-max-queue 0] [-max-batch 0]
 //	         [-timeout 30s] [-backend-timeout 10s] [-backend-retries 1]
 //	         [-hedge-after 0] [-nohedge] [-probe-interval 500ms]
-//	         [-nosplice] [-splice-depth 4] [-drain-timeout 30s]
+//	         [-splice-depth 4] [-drain-timeout 30s]
 //
 // At startup every backend's /v1/mesh identity is checked: topology,
 // seed, variant, path format and ksample must agree, and each member
@@ -31,12 +31,13 @@
 // -nohedge disables that. GET /metrics merges every member's
 // exposition into per-backend up/load gauges plus cluster totals.
 //
-// wire2 batches are merged by zero-copy splice: each shard's verified
-// payload bytes are forwarded without decoding, streaming shard i to
-// the client as soon as shards 0..i-1 have flushed, with at most
-// -splice-depth shards fetched past the flush cursor. -nosplice is
-// the kill switch back to the decode/re-encode fan-in (identical
-// bytes, more memory, whole-batch latency before the first byte).
+// Every batch and route is merged by one zero-copy splice: each
+// shard's verified wire2 payload bytes are forwarded without decoding,
+// with at most -splice-depth shards fetched past the flush cursor. A
+// wire2 response streams shard i to the client as soon as shards
+// 0..i-1 have flushed; a JSON response (and /v1/route) decodes the
+// spliced stream once every shard is in, so a failure still gets its
+// error status.
 //
 // The daemon prints "listening on http://<host:port>" once bound and
 // drains on SIGINT/SIGTERM exactly like meshrouted.
@@ -79,7 +80,6 @@ type config struct {
 	hedgeAfter     time.Duration
 	noHedge        bool
 	probeInterval  time.Duration
-	noSplice       bool
 	spliceDepth    int
 	drainTimeout   time.Duration
 }
@@ -103,7 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&cfg.hedgeAfter, "hedge-after", 0, "duplicate a straggling shard onto a second backend after this long (0 = adaptive from recent latencies)")
 	fs.BoolVar(&cfg.noHedge, "nohedge", false, "disable hedged shard retries entirely")
 	fs.DurationVar(&cfg.probeInterval, "probe-interval", 500*time.Millisecond, "backend /healthz probe cadence")
-	fs.BoolVar(&cfg.noSplice, "nosplice", false, "disable the zero-copy wire2 splice and decode/re-encode every batch")
 	fs.IntVar(&cfg.spliceDepth, "splice-depth", 0, "max shards fetched past the splice flush cursor (0 = default 4)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	if err := fs.Parse(args); err != nil {
@@ -177,7 +176,6 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 		HedgeAfter:     cfg.hedgeAfter,
 		DisableHedge:   cfg.noHedge,
 		ProbeInterval:  cfg.probeInterval,
-		DisableSplice:  cfg.noSplice,
 		SpliceDepth:    cfg.spliceDepth,
 	})
 	if err != nil {

@@ -38,7 +38,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative hedge-after", []string{"-backends", "http://h:1", "-hedge-after", "-1ms"}, 2, "-hedge-after must be >= 0"},
 		{"zero probe-interval", []string{"-backends", "http://h:1", "-probe-interval", "0s"}, 2, "-probe-interval must be > 0"},
 		{"negative splice-depth", []string{"-backends", "http://h:1", "-splice-depth", "-2"}, 2, "-splice-depth must be >= 0"},
-		{"bad nosplice value", []string{"-backends", "http://h:1", "-nosplice=nah"}, 2, "invalid boolean value"},
+		{"removed nosplice flag", []string{"-backends", "http://h:1", "-nosplice"}, 2, "flag provided but not defined: -nosplice"},
 		{"zero drain-timeout", []string{"-backends", "http://h:1", "-drain-timeout", "0s"}, 2, "-drain-timeout must be > 0"},
 		{"malformed duration", []string{"-backends", "http://h:1", "-timeout", "soon"}, 2, "invalid value"},
 		{"bad nohedge value", []string{"-backends", "http://h:1", "-nohedge=nah"}, 2, "invalid boolean value"},

@@ -1,6 +1,6 @@
 // Command meshrouted serves oblivious path selection (algorithm H) as
 // a network service: POST /v1/route for single pairs, POST /v1/batch
-// for bulk routing (JSON or the compact binary wire format), GET
+// for bulk routing (JSON or the run-length binary wire2 format), GET
 // /healthz for liveness, and GET /metrics for a text exposition of
 // live edge loads, the routing-table footprint, and request counters.
 //
@@ -26,8 +26,8 @@
 // -pathfmt selects the JSON representation of /v1/batch replies:
 // "hops" (node-id arrays, the default) or "segments" (flat run-length
 // records [start, dim0, run0, ...], typically ~8x smaller). The binary
-// wire formats are negotiated per request (?format=wire or wire2)
-// regardless of this flag.
+// wire2 format is negotiated per request (?format=wire2) regardless of
+// this flag.
 //
 // The daemon prints "listening on http://<host:port>" once the socket
 // is bound (use -addr :0 to pick a free port and read it from that

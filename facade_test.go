@@ -22,15 +22,22 @@ func newRouter(t testing.TB, d, side int) (*obliviousmesh.Mesh, *obliviousmesh.R
 	return m, r
 }
 
-// SelectAllObserved must report exactly the edges of the paths it
-// returns — packet ids in range, per-packet counts matching path
-// lengths — and the observer must not perturb selection.
+// A serial Router.Select with an Edge hook must report exactly the
+// edges of the paths it returns — packet ids in range, per-packet
+// counts matching path lengths — and the observer must not perturb
+// selection.
 func TestSelectAllObserved(t *testing.T) {
 	m, r := newRouter(t, 2, 16)
 	prob := obliviousmesh.RandomPermutation(m, 3)
+	observed := func(pairs []obliviousmesh.Pair, observe obliviousmesh.EdgeObserver) []obliviousmesh.Path {
+		paths := make([]obliviousmesh.Path, len(pairs))
+		r.Select(obliviousmesh.SelectRequest{Pairs: pairs, Workers: 1, Paths: paths,
+			Hooks: obliviousmesh.SelectHooks{Edge: observe}})
+		return paths
+	}
 
 	perPacket := make([]int, len(prob.Pairs))
-	paths := obliviousmesh.SelectAllObserved(r, prob.Pairs, func(pkt int, e obliviousmesh.EdgeID) {
+	paths := observed(prob.Pairs, func(pkt int, e obliviousmesh.EdgeID) {
 		if pkt < 0 || pkt >= len(prob.Pairs) {
 			t.Fatalf("observer saw packet id %d of %d", pkt, len(prob.Pairs))
 		}
@@ -49,7 +56,7 @@ func TestSelectAllObserved(t *testing.T) {
 	}
 
 	// Edge paths of the error-ish inputs: nil observer and empty batch.
-	unobserved := obliviousmesh.SelectAllObserved(r, prob.Pairs, nil)
+	unobserved := observed(prob.Pairs, nil)
 	for i := range unobserved {
 		if len(unobserved[i]) != len(paths[i]) {
 			t.Fatalf("nil observer changed selection of packet %d", i)
@@ -61,22 +68,32 @@ func TestSelectAllObserved(t *testing.T) {
 		}
 	}
 	called := false
-	if got := obliviousmesh.SelectAllObserved(r, nil, func(int, obliviousmesh.EdgeID) { called = true }); len(got) != 0 || called {
+	if got := observed(nil, func(int, obliviousmesh.EdgeID) { called = true }); len(got) != 0 || called {
 		t.Fatalf("empty batch: %d paths, observer called=%v", len(got), called)
 	}
 }
 
-// The run-length facade helpers must be indistinguishable from their
-// hop counterparts: same paths after expansion, same live loads, same
-// report, and a clean checker pass.
+// Run-length selection through the facade must be indistinguishable
+// from hop selection: same paths after expansion, same live loads
+// booked through the hooks, same report, and a clean checker pass.
 func TestSegFacadeMatchesHop(t *testing.T) {
 	m, r := newRouter(t, 2, 16)
 	prob := obliviousmesh.RandomPermutation(m, 5)
 
 	liveHop := obliviousmesh.NewLiveLoads(m, 0)
 	liveSeg := obliviousmesh.NewLiveLoads(m, 0)
-	paths := obliviousmesh.SelectAllTracked(r, prob.Pairs, liveHop)
-	sps := obliviousmesh.SelectAllSegTracked(r, prob.Pairs, liveSeg)
+	paths := make([]obliviousmesh.Path, len(prob.Pairs))
+	r.Select(obliviousmesh.SelectRequest{Pairs: prob.Pairs, Paths: paths, Hooks: obliviousmesh.SelectHooks{
+		Path: func(pkt int, _ obliviousmesh.Pair, p obliviousmesh.Path, _ obliviousmesh.RouterStats) {
+			liveHop.AddPath(m, uint64(pkt), p)
+		},
+	}})
+	sps := make([]obliviousmesh.SegPath, len(prob.Pairs))
+	r.Select(obliviousmesh.SelectRequest{Pairs: prob.Pairs, Segs: sps, Hooks: obliviousmesh.SelectHooks{
+		Seg: func(pkt int, _ obliviousmesh.Pair, sp obliviousmesh.SegPath, _ obliviousmesh.RouterStats) {
+			liveSeg.AddSegPath(m, uint64(pkt), sp)
+		},
+	}})
 
 	for i, sp := range sps {
 		p := sp.Expand(m)
@@ -109,7 +126,9 @@ func TestSegFacadeMatchesHop(t *testing.T) {
 	}
 
 	ck := obliviousmesh.NewChecker(r)
-	checked := obliviousmesh.SelectAllSegChecked(r, prob.Pairs, ck)
+	checked := make([]obliviousmesh.SegPath, len(prob.Pairs))
+	r.Select(obliviousmesh.SelectRequest{Pairs: prob.Pairs, Segs: checked,
+		Hooks: obliviousmesh.SelectHooks{Seg: ck.SegPathObserver()}})
 	if err := ck.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +204,17 @@ func TestSessionIssuedVsPacketsConcurrent(t *testing.T) {
 	}
 }
 
-// SelectAllChecked: identical paths to SelectAll, a clean checker on
-// healthy code, and violation reporting through the facade types.
+// A checker hooked into Router.Select: identical paths to SelectAll, a
+// clean checker on healthy code, and violation reporting through the
+// facade types.
 func TestSelectAllChecked(t *testing.T) {
 	m, r := newRouter(t, 2, 16)
 	prob := obliviousmesh.RandomPermutation(m, 5)
 
 	ck := obliviousmesh.NewChecker(r)
-	paths := obliviousmesh.SelectAllChecked(r, prob.Pairs, ck)
+	paths := make([]obliviousmesh.Path, len(prob.Pairs))
+	r.Select(obliviousmesh.SelectRequest{Pairs: prob.Pairs, Paths: paths,
+		Hooks: obliviousmesh.SelectHooks{Path: ck.PathObserver()}})
 	if err := ck.Err(); err != nil {
 		t.Fatalf("violations on healthy selection: %v", err)
 	}

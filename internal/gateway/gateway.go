@@ -1,6 +1,6 @@
 // Package gateway is the horizontal face of a meshrouted cluster: one
 // HTTP daemon that serves the exact same surface as a single routing
-// daemon (/v1/route, /v1/batch in JSON/wire/wire2, /v1/mesh, /healthz,
+// daemon (/v1/route, /v1/batch in JSON/wire2, /v1/mesh, /healthz,
 // /metrics) by fanning every batch out across N identically-seeded
 // backends and splicing the shards back together.
 //
@@ -9,9 +9,11 @@
 // the daemon's "batch-base" feature lets the gateway ask backend j to
 // route pairs[lo:hi] with streams lo..hi-1 — so a contiguous split by
 // global stream index returns, shard by shard, precisely the paths one
-// daemon would have produced for the whole batch. The gateway
-// re-frames those shards into the requested encoding and the response
-// is byte-identical to a single node's (the golden tests pin this).
+// daemon would have produced for the whole batch. The gateway splices
+// those shards' raw wire2 records into one stream — the response
+// itself for wire2, the input of the JSON rendering otherwise — and
+// the response is byte-identical to a single node's (the golden tests
+// pin this).
 //
 // Around that core the gateway adds the cluster concerns a load
 // balancer cannot: health-gated membership (dead or draining backends
@@ -23,6 +25,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -89,15 +92,10 @@ type Config struct {
 	// (default 500ms).
 	ProbeInterval time.Duration
 
-	// DisableSplice turns off the zero-copy wire2 merge and forces the
-	// decode/re-encode fan-in for every format — the kill switch behind
-	// meshgate's -nosplice flag. json and OMP1 responses always take the
-	// decode path (they must re-encode anyway).
-	DisableSplice bool
 	// SpliceDepth bounds how many shards past the flush cursor may be
-	// fetched (and so parked) at once on the splice path: shard i starts
-	// only when shard i−SpliceDepth has flushed, so a straggling early
-	// shard cannot make the gateway buffer the whole batch (default 4).
+	// fetched (and so parked) at once: shard i starts only when shard
+	// i−SpliceDepth has flushed, so a straggling early shard cannot make
+	// the gateway buffer the whole batch (default 4).
 	SpliceDepth int
 }
 
@@ -152,8 +150,8 @@ type Gateway struct {
 	hedges atomic.Int64
 	refans atomic.Int64
 
-	spliceBatches      atomic.Int64 // wire2 batches served by the splice path
-	spliceBytes        atomic.Int64 // payload bytes forwarded without decode
+	spliceBatches      atomic.Int64 // wire2 batches spliced straight into the response
+	spliceBytes        atomic.Int64 // shard payload bytes spliced
 	spliceParkedShards atomic.Int64 // shards that completed before their flush turn
 	spliceParkedPeak   atomic.Int64 // high-water mark of simultaneously parked bytes
 	hedgeWasted        atomic.Int64 // bytes fetched by hedge losers and thrown away
@@ -397,15 +395,22 @@ func (g *Gateway) doRoute(ctx context.Context, w http.ResponseWriter, r *http.Re
 		server.WriteErr(w, http.StatusBadRequest, "pair (%d,%d) out of range for %v", req.S, req.T, g.m)
 		return http.StatusBadRequest, 0, 0
 	}
-	// One route is a one-pair shard based at the gateway's own stream
+	// One route is a one-pair batch based at the gateway's own stream
 	// counter — the same replayability contract as the daemon's.
 	stream := atomic.AddUint64(&g.streams, 1) - 1
 	pair := []obliviousmesh.Pair{{S: obliviousmesh.NodeID(req.S), T: obliviousmesh.NodeID(req.T)}}
-	sps, err := g.fetchShard(ctx, nil, pair, stream)
+	buf := gatherPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer gatherPool.Put(buf)
+	dec, _, err := g.gather(ctx, buf, nil, pair, stream)
+	var sp obliviousmesh.SegPath
+	if err == nil {
+		sp, err = dec.Next()
+	}
 	if err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
-	p := sps[0].Expand(g.m)
+	p := sp.Expand(g.m)
 	resp := routeResponse{Stream: stream, Path: make([]int, len(p))}
 	for i, n := range p {
 		resp.Path[i] = int(n)
@@ -485,303 +490,68 @@ func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Re
 
 	format, ok := server.NegotiateBatchFormat(r)
 	if !ok {
-		server.WriteErr(w, http.StatusBadRequest, `unknown format %q (want "json", "wire" or "wire2")`, format)
+		server.WriteErr(w, http.StatusBadRequest, `unknown format %q (want "json" or "wire2")`, format)
 		return http.StatusBadRequest, 0, 0
 	}
-
-	// wire2 responses are byte-identical to the shard payloads, so they
-	// skip the decode/re-encode fan-in entirely and splice raw bytes —
-	// unless the kill switch forces the decode path. json and OMP1 must
-	// re-encode anyway and always decode.
-	if format == "wire2" && !g.cfg.DisableSplice {
+	if format == "wire2" {
 		return g.spliceBatch(ctx, w, lease, pairs, req.Base)
 	}
 
-	sps, err := g.fanout(ctx, lease, pairs, req.Base)
+	buf := gatherPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer gatherPool.Put(buf)
+	dec, edges, err := g.gather(ctx, buf, lease, pairs, req.Base)
 	if err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
-	for _, sp := range sps {
-		edges += int64(sp.Len())
-	}
-	routes = int64(len(sps))
-
-	switch format {
-	case "wire2":
-		w.Header().Set("Content-Type", serial.WireSegContentType)
-		w.WriteHeader(http.StatusOK)
-		enc, err := serial.NewWireSegEncoder(w, g.m, len(sps))
+	// Rows stay nil for an empty batch: the daemon's scratch encoder
+	// emits {"paths":null} there, and null it must stay.
+	segments := g.info.PathFormat == "segments"
+	var rows [][]int
+	for range pairs {
+		sp, err := dec.Next()
 		if err != nil {
-			return http.StatusInternalServerError, routes, edges
+			return g.writeFanoutErr(ctx, w, err), 0, 0
 		}
-		for _, sp := range sps {
-			// Trusted: every path was validated by the decoding client.
-			if err := enc.EncodeTrusted(sp); err != nil {
-				return http.StatusInternalServerError, routes, edges
+		var row []int
+		if segments {
+			row = make([]int, 0, 1+2*len(sp.Segs))
+			row = append(row, int(sp.Start))
+			for _, sg := range sp.Segs {
+				row = append(row, int(sg.Dim), int(sg.Run))
 			}
-		}
-		if err := enc.Close(); err != nil {
-			return http.StatusInternalServerError, routes, edges
-		}
-	case "wire":
-		w.Header().Set("Content-Type", serial.WireContentType)
-		w.WriteHeader(http.StatusOK)
-		enc, err := serial.NewWireEncoder(w, g.m, len(sps))
-		if err != nil {
-			return http.StatusInternalServerError, routes, edges
-		}
-		for _, sp := range sps {
-			if err := enc.Encode(sp.Expand(g.m)); err != nil {
-				return http.StatusInternalServerError, routes, edges
-			}
-		}
-		if err := enc.Close(); err != nil {
-			return http.StatusInternalServerError, routes, edges
-		}
-	default: // json
-		// Rows stay nil for an empty batch: the daemon's scratch encoder
-		// emits {"paths":null} there, and null it must stay.
-		if g.info.PathFormat == "segments" {
-			var rows [][]int
-			for _, sp := range sps {
-				row := make([]int, 0, 1+2*len(sp.Segs))
-				row = append(row, int(sp.Start))
-				for _, sg := range sp.Segs {
-					row = append(row, int(sg.Dim), int(sg.Run))
-				}
-				rows = append(rows, row)
-			}
-			server.WriteJSON(w, http.StatusOK, segBatchResponse{SegPaths: rows})
 		} else {
-			var rows [][]int
-			for _, sp := range sps {
-				p := sp.Expand(g.m)
-				row := make([]int, len(p))
-				for j, n := range p {
-					row[j] = int(n)
-				}
-				rows = append(rows, row)
+			p := sp.Expand(g.m)
+			row = make([]int, len(p))
+			for j, n := range p {
+				row[j] = int(n)
 			}
-			server.WriteJSON(w, http.StatusOK, batchResponse{Paths: rows})
 		}
+		rows = append(rows, row)
 	}
-	return http.StatusOK, routes, edges
+	if segments {
+		server.WriteJSON(w, http.StatusOK, segBatchResponse{SegPaths: rows})
+	} else {
+		server.WriteJSON(w, http.StatusOK, batchResponse{Paths: rows})
+	}
+	return http.StatusOK, int64(len(rows)), edges
 }
 
-// writeFanoutErr maps a fan-out failure onto the daemon's status
-// vocabulary: deadline → 504, an empty rotation → 503 with
-// Retry-After, anything else a backend did to us → 502.
+// writeFanoutErr answers a fan-out failure that struck before
+// anything was committed, with fanoutErrCode's status and the
+// daemon's error envelope (503 adds Retry-After).
 func (g *Gateway) writeFanoutErr(ctx context.Context, w http.ResponseWriter, err error) int {
-	switch {
-	case ctx.Err() != nil:
-		server.WriteErr(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
-		return http.StatusGatewayTimeout
-	case errors.Is(err, errNoBackends):
+	code := fanoutErrCode(ctx, err)
+	switch code {
+	case http.StatusGatewayTimeout:
+		server.WriteErr(w, code, "deadline exceeded: %v", err)
+	case http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", "1")
-		server.WriteErr(w, http.StatusServiceUnavailable, "%v", err)
-		return http.StatusServiceUnavailable
+		server.WriteErr(w, code, "%v", err)
 	default:
-		server.WriteErr(w, http.StatusBadGateway, "backend failure: %v", err)
-		return http.StatusBadGateway
+		server.WriteErr(w, code, "backend failure: %v", err)
 	}
-}
-
-// fanout splits pairs contiguously across the healthy backends and
-// reassembles the shards in order. Shard boundaries are provisional —
-// what is pinned is that pair i routes with stream base+i, whichever
-// backend ends up serving it, so membership changes mid-request cannot
-// change a single byte of the response.
-func (g *Gateway) fanout(ctx context.Context, lease *pairsLease, pairs []obliviousmesh.Pair, base uint64) ([]obliviousmesh.SegPath, error) {
-	n := len(pairs)
-	if n == 0 {
-		return nil, nil
-	}
-	k := g.healthyCount()
-	if k == 0 {
-		return nil, errNoBackends
-	}
-	if k > n {
-		k = n
-	}
-
-	out := make([]obliviousmesh.SegPath, n)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			sps, err := g.fetchShard(ctx, lease, pairs[lo:hi], base+uint64(lo))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			copy(out[lo:hi], sps)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// fetchShard routes one contiguous shard into decoded SegPaths — the
-// fan-in for json/OMP1 responses and the -nosplice wire2 path. The
-// rotation walk and hedging live in the generic fetchShardVia; decoded
-// losers need no cleanup beyond the garbage collector, so discard is a
-// no-op.
-func (g *Gateway) fetchShard(ctx context.Context, lease *pairsLease, pairs []obliviousmesh.Pair, base uint64) ([]obliviousmesh.SegPath, error) {
-	run := func(cctx context.Context, b *backend) ([]obliviousmesh.SegPath, error) {
-		sps := make([]obliviousmesh.SegPath, 0, len(pairs))
-		err := b.client.RouteBatchSegFuncBase(cctx, pairs, base, func(_ int, sp obliviousmesh.SegPath) error {
-			sps = append(sps, sp)
-			return nil
-		})
-		if err == nil && len(sps) != len(pairs) {
-			err = fmt.Errorf("gateway: backend %s returned %d paths for %d pairs", b.url, len(sps), len(pairs))
-		}
-		return sps, err
-	}
-	return fetchShardVia(g, ctx, lease, run, func([]obliviousmesh.SegPath, bool) {})
-}
-
-// fetchShardVia routes one contiguous shard via run, walking the
-// healthy rotation until a backend answers: a sub-request that fails
-// past its client's transient retries demotes the backend (the prober
-// re-admits it when it recovers) and the whole shard re-fans to the
-// next candidate. discard receives every attempt result that is not
-// the returned winner — losers of a hedge race (flagged true, they may
-// hold fetched bytes worth accounting) and failed attempts alike — so
-// pooled resources never leak.
-func fetchShardVia[T any](g *Gateway, ctx context.Context, lease *pairsLease,
-	run func(context.Context, *backend) (T, error), discard func(T, bool)) (T, error) {
-	var zero T
-	tried := make(map[*backend]bool)
-	var lastErr error
-	for range g.backends {
-		b := g.pickBackend(tried, nil)
-		if b == nil {
-			break
-		}
-		v, err := collectShardVia(g, ctx, b, tried, lease, run, discard)
-		if err == nil {
-			return v, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return zero, err
-		}
-		var herr *obliviousmesh.HTTPError
-		if errors.As(err, &herr) && herr.StatusCode < 500 && herr.StatusCode != http.StatusTooManyRequests {
-			// The cluster is identical, so another backend would reject
-			// the sub-request the same way. Fail loudly.
-			return zero, err
-		}
-		b.healthy.Store(false)
-		g.refans.Add(1)
-		tried[b] = true
-	}
-	if lastErr != nil {
-		return zero, lastErr
-	}
-	return zero, errNoBackends
-}
-
-// collectShardVia runs one shard sub-request against b via run,
-// hedging onto a second backend if b straggles past the hedge delay.
-// First complete answer wins; the loser's context is canceled on
-// return (the deferred cancel fires before the drainer starts
-// receiving, so a straggler aborts promptly instead of running to
-// completion), and its eventual result is handed to discard with the
-// hedge-loser flag set.
-func collectShardVia[T any](g *Gateway, ctx context.Context, b *backend, tried map[*backend]bool,
-	lease *pairsLease, run func(context.Context, *backend) (T, error), discard func(T, bool)) (T, error) {
-	var zero T
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		v       T
-		err     error
-		elapsed time.Duration
-	}
-	ch := make(chan result, 2)
-	attempt := func(b *backend) {
-		go func() {
-			t0 := time.Now()
-			v, err := run(cctx, b)
-			ch <- result{v, err, time.Since(t0)}
-		}()
-	}
-	lease.acquire() // attempts read the leased pairs; settled by drainLosers
-	attempt(b)
-	outstanding := 1
-
-	// drainLosers consumes the attempts still in flight once the race
-	// is decided, then settles this call's pairs lease — the attempt
-	// goroutines read the pooled pairs, so the lease cannot drop before
-	// the last of them resolves. It runs detached: the deferred cancel
-	// has already aborted them, so they resolve promptly and their
-	// results — which may hold pooled buffers — reach discard instead
-	// of leaking. Every return path calls it exactly once.
-	drainLosers := func(n int, hedgeLoser bool) {
-		if n == 0 {
-			lease.release()
-			return
-		}
-		go func() {
-			for i := 0; i < n; i++ {
-				discard((<-ch).v, hedgeLoser)
-			}
-			lease.release()
-		}()
-	}
-
-	var timerC <-chan time.Time
-	if d := g.hedgeDelay(); d > 0 {
-		tm := time.NewTimer(d)
-		defer tm.Stop()
-		timerC = tm.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil {
-				g.lat.observe(res.elapsed)
-				drainLosers(outstanding, true)
-				return res.v, nil
-			}
-			discard(res.v, false)
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if outstanding == 0 {
-				drainLosers(0, false) // settles the lease; nothing left to drain
-				return zero, firstErr
-			}
-		case <-timerC:
-			timerC = nil
-			if b2 := g.pickBackend(tried, b); b2 != nil {
-				g.hedges.Add(1)
-				outstanding++
-				attempt(b2)
-			}
-		case <-ctx.Done():
-			// Attempts killed by the parent deadline are not hedge
-			// losers; their bytes are wasted but not to hedging.
-			drainLosers(outstanding, false)
-			return zero, ctx.Err()
-		}
-	}
+	return code
 }
 
 // hedgeDelay sizes the straggler timer: the configured constant, or —
@@ -855,7 +625,7 @@ func (g *Gateway) handleMesh(w http.ResponseWriter, r *http.Request) {
 		MaxBatch:   g.maxBatch,
 		PathFormat: g.info.PathFormat,
 		KSample:    g.info.KSample,
-		Formats:    []string{"json", "wire", "wire2"},
+		Formats:    []string{"json", "wire2"},
 		Features:   []string{"batch-base"},
 	})
 }

@@ -81,65 +81,78 @@ func postBatch(t *testing.T, baseURL, format string, body []byte) (int, []byte, 
 }
 
 // TestGatewayGoldenEquality is the tentpole pin: for every encoding,
-// sampling regime and seed, a batch through the 3-way sharded gateway
-// returns the exact bytes one daemon returns for the same request.
+// JSON path format, sampling regime, seed and batch shape (64 pairs,
+// one pair, empty), a batch through the 3-way sharded gateway returns
+// the exact bytes one daemon returns for the same request. A retired
+// format (?format=wire) gets the daemon's status and body too.
 func TestGatewayGoldenEquality(t *testing.T) {
-	formats := []string{"json", "wire", "wire2"}
-	for _, k := range []int{1, 4} {
-		for _, seed := range []uint64{3, 17} {
-			t.Run(fmt.Sprintf("k%d/seed%d", k, seed), func(t *testing.T) {
-				if k == 1 {
-					// Pure oblivious selection ignores live load, so one
-					// cluster serves every format; BatchChunk 7 makes the
-					// shards straddle chunk boundaries on the backends.
-					cfg := server.Config{Seed: seed, BatchChunk: 7}
-					ref := startBackend(t, cfg)
-					_, gw := startGateway(t, Config{Backends: []string{
-						startBackend(t, cfg).URL,
-						startBackend(t, cfg).URL,
-						startBackend(t, cfg).URL,
-					}})
-					body := batchBody(t, testPairs(64, 29), 0)
+	formats := []string{"json", "wire2"}
+	bodies := []struct {
+		name  string
+		pairs [][2]int
+	}{
+		{"64 pairs", testPairs(64, 29)},
+		{"one pair", [][2]int{{3, 60}}},
+		{"empty", [][2]int{}},
+	}
+	// same posts body to the single daemon and the gateway and requires
+	// identical status and bytes (status 200 unless wantCode says else).
+	same := func(t *testing.T, ref, gw, format string, body []byte, wantCode int) {
+		t.Helper()
+		code, want, _ := postBatch(t, ref, format, body)
+		if code != wantCode {
+			t.Fatalf("reference %s status %d, want %d: %s", format, code, wantCode, want)
+		}
+		gcode, got, _ := postBatch(t, gw, format, body)
+		if gcode != code {
+			t.Fatalf("gateway %s status %d, single daemon %d: %s", format, gcode, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("format %s: gateway bytes differ from single daemon (%d vs %d bytes)", format, len(got), len(want))
+		}
+	}
+	cluster := func(t *testing.T, cfg server.Config) (ref, gw string) {
+		_, g := startGateway(t, Config{Backends: []string{
+			startBackend(t, cfg).URL,
+			startBackend(t, cfg).URL,
+			startBackend(t, cfg).URL,
+		}})
+		return startBackend(t, cfg).URL, g.URL
+	}
+	for _, pathFormat := range []string{"hops", "segments"} {
+		for _, k := range []int{1, 4} {
+			for _, seed := range []uint64{3, 17} {
+				name := fmt.Sprintf("k%d/seed%d", k, seed)
+				if pathFormat == "segments" {
+					if seed != 3 {
+						continue
+					}
+					name = fmt.Sprintf("segments/k%d", k)
+				}
+				t.Run(name, func(t *testing.T) {
+					if k == 1 {
+						// Pure oblivious selection ignores live load, so one
+						// cluster serves every format; BatchChunk 7 makes the
+						// shards straddle chunk boundaries on the backends.
+						ref, gw := cluster(t, server.Config{Seed: seed, BatchChunk: 7, PathFormat: pathFormat})
+						for _, bb := range bodies {
+							body := batchBody(t, bb.pairs, 0)
+							for _, format := range formats {
+								same(t, ref, gw, format, body, http.StatusOK)
+							}
+							same(t, ref, gw, "wire", body, http.StatusBadRequest)
+						}
+						return
+					}
+					// Sampling regime: equality holds when every request lands
+					// on fresh replicas (all-zero congestion snapshots), so each
+					// format gets a brand-new reference and cluster.
 					for _, format := range formats {
-						code, want, _ := postBatch(t, ref.URL, format, body)
-						if code != http.StatusOK {
-							t.Fatalf("reference %s status %d", format, code)
-						}
-						gcode, got, _ := postBatch(t, gw.URL, format, body)
-						if gcode != http.StatusOK {
-							t.Fatalf("gateway %s status %d: %s", format, gcode, got)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("format %s: gateway bytes differ from single daemon (%d vs %d bytes)", format, len(got), len(want))
-						}
+						ref, gw := cluster(t, server.Config{Seed: seed, KSample: k, PathFormat: pathFormat})
+						same(t, ref, gw, format, batchBody(t, testPairs(64, 37), 0), http.StatusOK)
 					}
-					return
-				}
-				// Sampling regime: equality holds when every request lands
-				// on fresh replicas (all-zero congestion snapshots), so each
-				// format gets a brand-new reference and cluster.
-				for _, format := range formats {
-					cfg := server.Config{Seed: seed, KSample: k}
-					ref := startBackend(t, cfg)
-					_, gw := startGateway(t, Config{Backends: []string{
-						startBackend(t, cfg).URL,
-						startBackend(t, cfg).URL,
-						startBackend(t, cfg).URL,
-					}})
-					body := batchBody(t, testPairs(64, 37), 0)
-					code, want, _ := postBatch(t, ref.URL, format, body)
-					if code != http.StatusOK {
-						t.Fatalf("reference %s status %d", format, code)
-					}
-					gcode, got, _ := postBatch(t, gw.URL, format, body)
-					if gcode != http.StatusOK {
-						t.Fatalf("gateway %s status %d: %s", format, gcode, got)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("format %s: gateway bytes differ from single daemon (%d vs %d bytes)", format, len(got), len(want))
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -171,7 +184,7 @@ func TestGatewayEmptyBatch(t *testing.T) {
 	ref := startBackend(t, cfg)
 	_, gw := startGateway(t, Config{Backends: []string{startBackend(t, cfg).URL}})
 	body := batchBody(t, [][2]int{}, 0)
-	for _, format := range []string{"json", "wire", "wire2"} {
+	for _, format := range []string{"json", "wire2"} {
 		_, want, _ := postBatch(t, ref.URL, format, body)
 		code, got, _ := postBatch(t, gw.URL, format, body)
 		if code != http.StatusOK {
@@ -208,7 +221,7 @@ func TestBatchRejectsMalformedPairs(t *testing.T) {
 		{`{"pairs":[[9223372036854775808,0]]}`, 0},
 		{`{"pairs":[[0,1],[2,3],null]}`, 2},
 	}
-	for _, format := range []string{"json", "wire", "wire2"} {
+	for _, format := range []string{"json", "wire2"} {
 		for _, tc := range bad {
 			code, body, _ := postBatch(t, gw.URL, format, []byte(tc.body))
 			want := fmt.Sprintf("pair %d", tc.pair)
@@ -387,7 +400,8 @@ func TestGatewayHedging(t *testing.T) {
 }
 
 // TestGatewayNoBackends: with the whole rotation down the gateway
-// sheds with 503 + Retry-After instead of hanging or 500ing.
+// sheds every batch format and single routes with 503 + Retry-After
+// instead of hanging or 500ing.
 func TestGatewayNoBackends(t *testing.T) {
 	backend := startBackend(t, server.Config{Seed: 1})
 	g, gw := startGateway(t, Config{
@@ -402,12 +416,58 @@ func TestGatewayNoBackends(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	code, body, hdr := postBatch(t, gw.URL, "wire2", batchBody(t, [][2]int{{0, 1}}, 0))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("empty rotation: status %d: %s", code, body)
+	for _, format := range []string{"wire2", "json"} {
+		code, body, hdr := postBatch(t, gw.URL, format, batchBody(t, [][2]int{{0, 1}}, 0))
+		if code != http.StatusServiceUnavailable || !strings.Contains(string(body), errNoBackends.Error()) {
+			t.Fatalf("empty rotation, %s: status %d: %s", format, code, body)
+		}
+		if hdr.Get("Retry-After") == "" {
+			t.Fatalf("empty rotation, %s: shed without Retry-After", format)
+		}
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("empty rotation shed without Retry-After")
+	resp, err := http.Post(gw.URL+"/v1/route", "application/json", strings.NewReader(`{"s":0,"t":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("empty rotation, route: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestGatewayBackendFailureStatus: JSON batches and single routes are
+// decoded only once every shard is in, so a backend failure still
+// answers with the daemon's status vocabulary: 502 naming the failure.
+func TestGatewayBackendFailureStatus(t *testing.T) {
+	srv, err := server.New(server.Config{Mesh: mesh.MustSquare(2, 8), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := srv.Handler()
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/batch" {
+			server.WriteErr(w, http.StatusInternalServerError, "boom")
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(broken.Close)
+	// A failed sub-request demotes its backend, so each request gets a
+	// fresh gateway (an empty rotation would answer 503 instead).
+	_, gw := startGateway(t, Config{Backends: []string{broken.URL}})
+	code, body, _ := postBatch(t, gw.URL, "json", batchBody(t, [][2]int{{0, 1}, {2, 3}}, 0))
+	if code != http.StatusBadGateway || !strings.Contains(string(body), "backend failure") || !strings.Contains(string(body), "boom") {
+		t.Fatalf("json batch on a failing backend: status %d: %s", code, body)
+	}
+	_, gw = startGateway(t, Config{Backends: []string{broken.URL}})
+	resp, err := http.Post(gw.URL+"/v1/route", "application/json", strings.NewReader(`{"s":0,"t":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(rbody), "backend failure") {
+		t.Fatalf("route on a failing backend: status %d: %s", resp.StatusCode, rbody)
 	}
 }
 

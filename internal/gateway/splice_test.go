@@ -17,14 +17,13 @@ import (
 	"obliviousmesh/internal/server"
 )
 
-// TestGatewaySpliceEquality is the splice tentpole pin, three ways at
-// once: the zero-copy wire2 response must be byte-identical to the
-// decode/re-encode gateway path (-nosplice), to a single daemon, and
-// to itself when a dead member forces a mid-request re-fan — across
-// sharding × sampling regimes × seeds. Every cluster serves exactly
-// one batch, so the k-sample regimes see all-zero congestion
-// snapshots on every replica (the equality precondition the decode
-// golden test established).
+// TestGatewaySpliceEquality is the splice pin, two ways at once: the
+// zero-copy wire2 response must be byte-identical to a single daemon,
+// and to itself when a dead member forces a mid-request re-fan —
+// across sharding × sampling regimes × seeds. Every cluster serves
+// exactly one batch, so the k-sample regimes see all-zero congestion
+// snapshots on every replica (the equality precondition of the golden
+// tests).
 func TestGatewaySpliceEquality(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		for _, seed := range []uint64{3, 17} {
@@ -56,30 +55,11 @@ func TestGatewaySpliceEquality(t *testing.T) {
 					t.Fatalf("splice_batches_total %d after one wire2 batch", n)
 				}
 
-				decodeG, decodeGW := startGateway(t, Config{
-					Backends: []string{
-						startBackend(t, scfg).URL,
-						startBackend(t, scfg).URL,
-						startBackend(t, scfg).URL,
-					},
-					DisableSplice: true,
-				})
-				code, got, _ = postBatch(t, decodeGW.URL, "wire2", body)
-				if code != http.StatusOK {
-					t.Fatalf("decode-path status %d: %s", code, got)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatal("decode-path bytes differ from single daemon — the kill switch changed the response")
-				}
-				if n := decodeG.spliceBatches.Load(); n != 0 {
-					t.Fatalf("splice_batches_total %d with DisableSplice", n)
-				}
-
 				// A dead member mid-rotation: its shard re-fans to a survivor
 				// during the spliced request. For the pure-oblivious regime not
 				// one byte changes; for k-sample the survivor's live-load state
-				// shifted after its own shard (true of the decode path too), so
-				// the pin is a checksum-valid stream of the right shape.
+				// shifted after its own shard, so the pin is a checksum-valid
+				// stream of the right shape.
 				dead := startBackend(t, scfg)
 				refanG, refanGW := startGateway(t, Config{Backends: []string{
 					startBackend(t, scfg).URL,
@@ -147,9 +127,7 @@ func stallBasedShards(t *testing.T, cfg server.Config, release <-chan struct{}) 
 
 // TestGatewaySpliceStreamsBeforeLastShard: shard 0's bytes must reach
 // the client while shards 1 and 2 are still stalled inside their
-// backends — TTFB no longer waits on the slowest shard. The decode
-// path cannot pass this test: it holds every byte until the last
-// shard lands.
+// backends — TTFB does not wait on the slowest shard.
 func TestGatewaySpliceStreamsBeforeLastShard(t *testing.T) {
 	const seed = 13
 	scfg := server.Config{Mesh: mesh.MustSquare(2, 8), Seed: seed}

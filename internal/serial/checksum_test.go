@@ -121,31 +121,25 @@ func goldenTrailerPaths() (*mesh.Mesh, []mesh.Path, []mesh.SegPath) {
 	return m, paths, sps
 }
 
-// TestWireTrailersGolden pins the OMP1 and OMP2 trailers and
-// PathsChecksum of a fixed path set to constants recorded with the
-// hash/fnv implementation. Encoder and decoder share one hasher, so a
-// round trip alone would accept a consistent but different checksum;
-// these constants pin the bytes on the wire.
+// TestWireTrailersGolden pins the OMP2 trailer and PathsChecksum of a
+// fixed path set to constants recorded with the hash/fnv
+// implementation. Encoder and decoder share one hasher, so a round
+// trip alone would accept a consistent but different checksum; these
+// constants pin the bytes on the wire. PathsChecksum is the trailer the
+// retired per-hop format (OMP1) carried, so it still pins the hop form
+// of the hasher.
 func TestWireTrailersGolden(t *testing.T) {
 	const (
-		omp1Trailer   = 0x0b55059d147fb81d
-		omp1Len       = 3443
 		omp2Trailer   = 0x5d838ef03eeef1e8
 		omp2Len       = 1649
 		pathsChecksum = 0x0b55059d147fb81d
 	)
 	m, paths, sps := goldenTrailerPaths()
-	var b1, b2 bytes.Buffer
-	if err := EncodeWire(&b1, m, paths); err != nil {
-		t.Fatal(err)
-	}
+	var b2 bytes.Buffer
 	if err := EncodeWireSeg(&b2, m, sps); err != nil {
 		t.Fatal(err)
 	}
 	trailer := func(b []byte) uint64 { return binary.LittleEndian.Uint64(b[len(b)-8:]) }
-	if got := trailer(b1.Bytes()); got != omp1Trailer || b1.Len() != omp1Len {
-		t.Errorf("OMP1: trailer %#x in %d bytes, want %#x in %d", got, b1.Len(), uint64(omp1Trailer), omp1Len)
-	}
 	if got := trailer(b2.Bytes()); got != omp2Trailer || b2.Len() != omp2Len {
 		t.Errorf("OMP2: trailer %#x in %d bytes, want %#x in %d", got, b2.Len(), uint64(omp2Trailer), omp2Len)
 	}

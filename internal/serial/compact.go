@@ -40,8 +40,9 @@ type CompactOpts struct {
 	BridgeFactor   float64 `json:"bridgeFactor,omitempty"`
 }
 
-// PathsChecksum hashes a path set (FNV-1a over node sequences with
-// length framing) — the OMP1 trailer of the same set.
+// PathsChecksum hashes a path set: FNV-64a over the path count and
+// each path's length and node ids, every value as 8 little-endian
+// bytes.
 func PathsChecksum(paths []mesh.Path) uint64 {
 	var ph pathsHasher
 	ph.init(len(paths))

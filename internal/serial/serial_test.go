@@ -145,3 +145,22 @@ func TestSpecBuild(t *testing.T) {
 		t.Errorf("spec round trip: %v vs %v", back, m)
 	}
 }
+
+// TestMeshSpecEqual covers the membership fingerprint comparison.
+func TestMeshSpecEqual(t *testing.T) {
+	a := MeshSpec{Dims: []int{8, 8}}
+	cases := []struct {
+		b    MeshSpec
+		want bool
+	}{
+		{MeshSpec{Dims: []int{8, 8}}, true},
+		{MeshSpec{Dims: []int{8, 8}, Wrap: true}, false},
+		{MeshSpec{Dims: []int{8, 16}}, false},
+		{MeshSpec{Dims: []int{8, 8, 8}}, false},
+	}
+	for _, c := range cases {
+		if got := a.Equal(c.b); got != c.want {
+			t.Errorf("Equal(%v, %v) = %v, want %v", a, c.b, got, c.want)
+		}
+	}
+}

@@ -11,13 +11,14 @@ import (
 	"obliviousmesh/internal/mesh"
 )
 
-// Run-length binary path encoding, version 2 of the wire format.
-// Algorithm H builds each path dimension by dimension, so a path is a
-// handful of axis-aligned runs no matter how long it is: a 64-hop
-// staircase on a 2-D mesh is ~2 segments (≈10 bytes) where OMP1 spends
-// one byte per hop (≈70) — an 8–16× smaller payload at side 256. The
-// encoder streams path by path exactly like the OMP1 encoder, so the
-// routing service can flush partial batches during routing.
+// Run-length binary path encoding — the wire format of the routing
+// service's streaming batch mode (OMP2; version 1, a per-hop encoding,
+// is retired). Algorithm H builds each path dimension by dimension, so
+// a path is a handful of axis-aligned runs no matter how long it is: a
+// 64-hop staircase on a 2-D mesh is ~2 segments (≈10 bytes) where one
+// byte per hop would be ≈70 — an 8–16× smaller payload at side 256.
+// The encoder streams path by path, so the routing service can flush
+// partial batches during routing.
 //
 // Layout (varints are unsigned LEB128 via encoding/binary):
 //
@@ -35,7 +36,7 @@ import (
 // Decoding validates every run against the mesh geometry (SegWalkEnd),
 // so an accepted stream always describes valid walks, and the checksum
 // trailer rejects truncation or corruption loudly. Both ends must
-// agree on the mesh, as with OMP1.
+// agree on the mesh (see the service's /v1/mesh endpoint).
 
 // wireSegMagic identifies the run-length path wire format, version 2.
 const wireSegMagic = "OMP2"
@@ -99,30 +100,10 @@ func AppendWireSegPath(dst []byte, m *mesh.Mesh, sp mesh.SegPath) ([]byte, error
 	return dst, nil
 }
 
-// AppendWireSegPathTrusted is AppendWireSegPath without the
-// SegWalkEnd validation — for re-framing paths that already passed a
-// decoder's or engine's validation (a gateway splitting one logical
-// batch across backends and re-assembling the sub-streams), where
-// walking every path a second time would double the per-path cost.
-// Feeding it an invalid walk produces a stream the receiving decoder
-// rejects, so the failure mode is loud, just later.
-func AppendWireSegPathTrusted(dst []byte, sp mesh.SegPath) []byte {
-	if sp.Start < 0 {
-		return binary.AppendUvarint(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(sp.Segs))+1)
-	dst = binary.AppendUvarint(dst, uint64(sp.Start))
-	for _, sg := range sp.Segs {
-		code, steps := segCode(sg)
-		dst = binary.AppendUvarint(dst, code)
-		dst = binary.AppendUvarint(dst, steps)
-	}
-	return dst
-}
-
 // WireSegEncoder streams a batch of run-length paths: header on
 // construction, one Encode per path in order, Close for the checksum
-// trailer — the OMP2 counterpart of WireEncoder.
+// trailer. Writes go straight to w, so an HTTP handler can flush
+// between paths while later paths are still being routed.
 type WireSegEncoder struct {
 	w    io.Writer
 	m    *mesh.Mesh
@@ -158,24 +139,6 @@ func (e *WireSegEncoder) Encode(sp mesh.SegPath) error {
 	if err != nil {
 		return err
 	}
-	e.sum.add(sp)
-	e.left--
-	_, werr := e.w.Write(e.buf)
-	return werr
-}
-
-// EncodeTrusted is Encode without re-walking the path against the
-// mesh — the sub-batch re-framing fast path for paths that already
-// passed a WireSegDecoder's validation. Byte-for-byte identical output
-// to Encode for any valid path.
-func (e *WireSegEncoder) EncodeTrusted(sp mesh.SegPath) error {
-	if e.left <= 0 {
-		return fmt.Errorf("serial: wireseg: more paths than the declared count")
-	}
-	if sp.Start < 0 && len(sp.Segs) != 0 {
-		return fmt.Errorf("serial: wireseg: empty path with %d segments", len(sp.Segs))
-	}
-	e.buf = AppendWireSegPathTrusted(e.buf[:0], sp)
 	e.sum.add(sp)
 	e.left--
 	_, werr := e.w.Write(e.buf)
@@ -297,9 +260,11 @@ func NewWireSegDecoder(r io.Reader, m *mesh.Mesh, maxPaths int) (*WireSegDecoder
 		return nil, fmt.Errorf("serial: wireseg: implausible path count %d", count)
 	}
 	d := &WireSegDecoder{br: br, m: m, count: count}
-	// The same length slack DecodeWire allows: every segment is at least
-	// one hop, so both the segment count and the hop total of one path
-	// are bounded by 4·size.
+	// A simple path revisits no node, and cycle-removed selector paths
+	// are simple; allow slack for general walks while still rejecting
+	// absurd lengths from corrupt streams. Every segment is at least one
+	// hop, so both the segment count and the hop total of one path are
+	// bounded by 4·size.
 	d.maxHops = uint64(4) * uint64(m.Size())
 	d.sum.init(int(count))
 	return d, nil

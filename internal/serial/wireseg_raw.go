@@ -10,8 +10,8 @@ import (
 	"obliviousmesh/internal/mesh"
 )
 
-// Raw re-framing of OMP2 streams — the zero-copy counterpart of the
-// decode → EncodeTrusted loop pinned in reframe_test.go.
+// Raw re-framing of OMP2 streams: splicing shard streams into one
+// without decoding them.
 //
 // A gateway that splits one logical batch across identically-seeded
 // backends gets back sub-streams whose path records are, byte for
@@ -21,9 +21,9 @@ import (
 // therefore never needs to materialize a SegPath: it is enough to
 //
 //	validate   each record's framing and geometry bounds (the same
-//	           checks WireSegDecoder runs, minus the SegWalkEnd walk —
-//	           the EncodeTrusted contract: an invalid walk fails loudly
-//	           at the receiving decoder instead), and
+//	           checks WireSegDecoder runs, minus the SegWalkEnd walk:
+//	           an invalid walk fails loudly at the receiving decoder
+//	           instead), and
 //	hash       the decoded varint values into the FNV-64a trailer the
 //	           single-daemon stream would carry, and
 //	forward    the payload bytes verbatim.

@@ -108,12 +108,11 @@ func TestWireSegDecoderTruncation(t *testing.T) {
 	}
 }
 
-// TestMaxWireBytes checks both format caps are true upper bounds for
-// real streams and stay proportional to the pair count — the property
-// the client's LimitReader defence relies on.
+// TestMaxWireBytes checks the OMP2 cap is a true upper bound for real
+// streams — the property the client's LimitReader defence relies on.
 func TestMaxWireBytes(t *testing.T) {
 	m := mesh.MustSquare(2, 8)
-	sps, paths := routedSegPaths(t, m, 11)
+	sps, _ := routedSegPaths(t, m, 11)
 
 	var segBuf bytes.Buffer
 	if err := EncodeWireSeg(&segBuf, m, sps); err != nil {
@@ -121,14 +120,6 @@ func TestMaxWireBytes(t *testing.T) {
 	}
 	if limit := MaxWireSegBytes(m, len(sps)); int64(segBuf.Len()) > limit {
 		t.Fatalf("real OMP2 stream (%d bytes) exceeds MaxWireSegBytes %d", segBuf.Len(), limit)
-	}
-
-	var hopBuf bytes.Buffer
-	if err := EncodeWire(&hopBuf, m, paths); err != nil {
-		t.Fatal(err)
-	}
-	if limit := MaxWireBytes(m, len(paths)); int64(hopBuf.Len()) > limit {
-		t.Fatalf("real OMP1 stream (%d bytes) exceeds MaxWireBytes %d", hopBuf.Len(), limit)
 	}
 
 	// A decode capped at the limit still succeeds — the cap must never

@@ -56,12 +56,6 @@ func fetchPaths(t *testing.T, m *mesh.Mesh, url, format string, req BatchRequest
 			paths[i] = p
 		}
 		return paths
-	case "wire":
-		paths, err := serial.DecodeWire(resp.Body, m, len(req.Pairs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return paths
 	case "wire2":
 		sps, err := serial.DecodeWireSeg(resp.Body, m, len(req.Pairs))
 		if err != nil {
@@ -97,7 +91,7 @@ func TestBatchBase(t *testing.T) {
 		n := len(whole.Pairs)
 		cuts := []int{0, 1, 13, 14, 40, n} // uneven shards, not chunk-aligned
 
-		for _, format := range []string{"json", "wire", "wire2"} {
+		for _, format := range []string{"json", "wire2"} {
 			want := fetchPaths(t, m, ts.URL, format, whole)
 			for c := 0; c+1 < len(cuts); c++ {
 				lo, hi := cuts[c], cuts[c+1]

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"obliviousmesh/internal/mesh"
-	"obliviousmesh/internal/serial"
 )
 
 // BenchmarkServerBatch measures end-to-end served throughput over a
@@ -21,10 +20,7 @@ import (
 func BenchmarkServerBatch(b *testing.B) {
 	for _, size := range []int{16, 256} {
 		b.Run(sizeName(size), func(b *testing.B) {
-			benchBatch(b, size, "")
-		})
-		b.Run(sizeName(size)+"/wire", func(b *testing.B) {
-			benchBatch(b, size, "?format=wire")
+			benchBatch(b, size)
 		})
 	}
 }
@@ -47,7 +43,7 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-func benchBatch(b *testing.B, size int, query string) {
+func benchBatch(b *testing.B, size int) {
 	m := mesh.MustSquare(2, 32)
 	srv, err := New(Config{
 		Mesh: m, Seed: 7,
@@ -67,8 +63,7 @@ func benchBatch(b *testing.B, size int, query string) {
 		req.Pairs = append(req.Pairs, [2]int{s, (s + 517) % m.Size()})
 	}
 	blob, _ := json.Marshal(req)
-	url := ts.URL + "/v1/batch" + query
-	wire := query != ""
+	url := ts.URL + "/v1/batch"
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,13 +72,7 @@ func benchBatch(b *testing.B, size int, query string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if wire {
-			if _, err := serial.DecodeWire(resp.Body, m, size); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)

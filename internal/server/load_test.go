@@ -17,7 +17,7 @@ import (
 )
 
 // TestLoadLoopback hammers the service over loopback with concurrent
-// single routes plus JSON and wire batches — more than 10k routed
+// single routes plus JSON and wire2 batches — more than 10k routed
 // pairs across >1k requests — and demands the acceptance property:
 // below the shed threshold, zero dropped responses, and the /metrics
 // counters agree exactly with the client's observed totals.
@@ -58,7 +58,7 @@ func runLoadLoopback(t *testing.T, chain string, ksample int) {
 		batchSize = 24
 	)
 	var (
-		wantReqs   = int64(workers * perWorker * 3) // route + json batch + wire batch per iteration
+		wantReqs   = int64(workers * perWorker * 3) // route + json batch + wire2 batch per iteration
 		gotRoutes  int64
 		gotEdges   int64
 		gotReqs    int64
@@ -124,13 +124,13 @@ func runLoadLoopback(t *testing.T, chain string, ksample int) {
 					atomic.AddInt64(&gotEdges, int64(len(p)-1))
 				}
 
-				// One wire batch.
-				wresp, err := client.Post(ts.URL+"/v1/batch?format=wire", "application/json", bytes.NewReader(bblob))
+				// One wire2 batch.
+				wresp, err := client.Post(ts.URL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(bblob))
 				if err != nil {
 					atomic.AddInt64(&clientErrs, 1)
 					continue
 				}
-				paths, derr := serial.DecodeWire(wresp.Body, m, batchSize)
+				paths, derr := serial.DecodeWireSeg(wresp.Body, m, batchSize)
 				wresp.Body.Close()
 				atomic.AddInt64(&gotReqs, 1)
 				if wresp.StatusCode != http.StatusOK || derr != nil {

@@ -18,11 +18,9 @@
 //
 //	POST /v1/route    {"s":0,"t":17}            → {"stream":n,"path":[...]}
 //	POST /v1/batch    {"pairs":[[s,t],...]}     → {"paths":[[...],...]}
-//	                  ?format=wire (or Accept: application/x-obliviousmesh-paths)
-//	                  streams the compact per-hop encoding (OMP1);
 //	                  ?format=wire2 (or Accept: application/x-obliviousmesh-segpaths)
-//	                  streams the run-length encoding (OMP2) — same
-//	                  paths, ~an order of magnitude fewer bytes
+//	                  streams the run-length binary encoding (OMP2) —
+//	                  same paths, ~an order of magnitude fewer bytes
 //	GET  /v1/mesh     topology + seed + limits + formats, for typed clients
 //	GET  /healthz     200 ok / 503 draining
 //	GET  /metrics     text exposition of live counters
@@ -62,7 +60,7 @@ type Config struct {
 	// PathFormat selects the JSON representation of selected paths:
 	// "hops" (the default) answers /v1/batch with node-id arrays,
 	// "segments" with flat run-length records [start, dim0, run0, ...].
-	// The binary wire formats are unaffected — they are chosen per
+	// The binary wire2 format is unaffected — it is chosen per
 	// request.
 	PathFormat string
 	// KSample is the semi-oblivious candidate count: each packet draws
@@ -480,7 +478,7 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 
 	format, ok := NegotiateBatchFormat(r)
 	if !ok {
-		WriteErr(w, http.StatusBadRequest, `unknown format %q (want "json", "wire" or "wire2")`, format)
+		WriteErr(w, http.StatusBadRequest, `unknown format %q (want "json" or "wire2")`, format)
 		return http.StatusBadRequest, 0, 0
 	}
 
@@ -499,10 +497,6 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 		s.live.AddPath(s.m, uint64(pkt), p)
 	}}
 	paths := make([]mesh.Path, len(pairs))
-
-	if format == "wire" {
-		return s.streamBatchWire(ctx, w, kq, pairs, base, paths, hooks)
-	}
 
 	// Deadline-checked slices: the context is consulted every
 	// BatchChunk pairs, so a request whose deadline passes mid-batch
@@ -529,45 +523,6 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 	WriteJSON(w, http.StatusOK, batchResponse{Paths: sc.hopRows(paths)})
 	s.putJSONScratch(sc)
 	return http.StatusOK, int64(len(paths)), edges
-}
-
-// streamBatchWire routes the batch in chunks and streams each chunk in
-// the compact wire format as soon as it is selected, flushing between
-// chunks. If the deadline passes mid-stream the response ends without
-// the checksum trailer, which the client's decoder rejects — a
-// truncated stream can never be mistaken for a complete one.
-func (s *Server) streamBatchWire(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64, paths []mesh.Path, hooks core.Hooks) (code int, routes, edges int64) {
-	w.Header().Set("Content-Type", serial.WireContentType)
-	w.WriteHeader(http.StatusOK)
-	enc, err := serial.NewWireEncoder(w, s.m, len(pairs))
-	if err != nil {
-		return http.StatusInternalServerError, 0, 0
-	}
-	flusher, _ := w.(http.Flusher)
-	for lo := 0; lo < len(pairs); lo += s.cfg.BatchChunk {
-		if ctx.Err() != nil {
-			return http.StatusGatewayTimeout, routes, edges // truncated: no trailer
-		}
-		hi := lo + s.cfg.BatchChunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Paths: paths[lo:hi], Hooks: hooks})
-		for _, p := range paths[lo:hi] {
-			if err := enc.Encode(p); err != nil {
-				return http.StatusInternalServerError, routes, edges
-			}
-			routes++
-			edges += int64(p.Len())
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Close(); err != nil {
-		return http.StatusInternalServerError, routes, edges
-	}
-	return http.StatusOK, routes, edges
 }
 
 // segLiveHooks is the accounting hook of the segment engines: every
@@ -629,19 +584,17 @@ func NegotiateBatchFormat(r *http.Request) (format string, ok bool) {
 		switch {
 		case strings.Contains(accept, serial.WireSegContentType):
 			return "wire2", true
-		case strings.Contains(accept, serial.WireContentType):
-			return "wire", true
 		default:
 			return "json", true
 		}
-	case "json", "wire", "wire2":
+	case "json", "wire2":
 		return format, true
 	}
 	return format, false
 }
 
 // meshResponse describes the served topology and limits, everything a
-// typed client needs to validate pairs and decode the wire formats.
+// typed client needs to validate pairs and decode the wire format.
 type meshResponse struct {
 	Spec     serial.MeshSpec `json:"mesh"`
 	Seed     uint64          `json:"seed"`
@@ -677,7 +630,7 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 		MaxBatch:   s.cfg.MaxBatch,
 		PathFormat: s.cfg.PathFormat,
 		KSample:    s.cfg.KSample,
-		Formats:    []string{"json", "wire", "wire2"},
+		Formats:    []string{"json", "wire2"},
 		Features:   []string{"batch-base"},
 	})
 }

@@ -219,9 +219,11 @@ func TestBatchEndpointJSON(t *testing.T) {
 	}
 }
 
+// TestBatchEndpointWire pins the retired per-hop wire format (OMP1):
+// ?format=wire is an unknown format, and its Accept header gets JSON
+// like any other Accept value that is not wire2.
 func TestBatchEndpointWire(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 2, BatchChunk: 5})
-	m := srv.Mesh()
+	_, ts := newTestServer(t, Config{Seed: 2, BatchChunk: 5})
 	req := BatchRequest{}
 	for s := 0; s < 32; s++ {
 		req.Pairs = append(req.Pairs, [2]int{s, 63 - s})
@@ -231,50 +233,29 @@ func TestBatchEndpointWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `unknown format \"wire\" (want \"json\" or \"wire2\")`; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Fatalf("?format=wire: status %d %s, want 400 %s", resp.StatusCode, body, want)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != serial.WireContentType {
-		t.Fatalf("content type %q", ct)
-	}
-	paths, err := serial.DecodeWire(resp.Body, m, len(req.Pairs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wire and JSON modes must serve identical paths.
+
 	respJ, bodyJ := postJSON(t, ts.URL+"/v1/batch", req)
 	if respJ.StatusCode != http.StatusOK {
 		t.Fatalf("json status %d", respJ.StatusCode)
 	}
-	var br batchResponse
-	if err := json.Unmarshal(bodyJ, &br); err != nil {
-		t.Fatal(err)
-	}
-	for i := range paths {
-		if len(paths[i]) != len(br.Paths[i]) {
-			t.Fatalf("path %d: wire %d nodes, json %d", i, len(paths[i]), len(br.Paths[i]))
-		}
-		for j := range paths[i] {
-			if int(paths[i][j]) != br.Paths[i][j] {
-				t.Fatalf("path %d: wire/json mismatch at %d", i, j)
-			}
-		}
-	}
-
-	// The Accept header selects the wire mode too.
 	areq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(blob))
-	areq.Header.Set("Accept", serial.WireContentType)
+	areq.Header.Set("Accept", "application/x-obliviousmesh-paths")
 	aresp, err := http.DefaultClient.Do(areq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer aresp.Body.Close()
-	if ct := aresp.Header.Get("Content-Type"); ct != serial.WireContentType {
-		t.Fatalf("Accept header ignored: content type %q", ct)
+	abody, _ := io.ReadAll(aresp.Body)
+	aresp.Body.Close()
+	if ct := aresp.Header.Get("Content-Type"); aresp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("OMP1 Accept header: status %d, content type %q, want 200 JSON", aresp.StatusCode, ct)
 	}
-	if _, err := serial.DecodeWire(aresp.Body, m, 0); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(abody, bodyJ) {
+		t.Fatal("OMP1 Accept header: body differs from the plain JSON batch")
 	}
 }
 
@@ -303,17 +284,17 @@ func TestBatchDeadlineExceeded(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)
 	}
-	// Wire mode: headers are already out, so the deadline truncates
-	// the stream and the decoder must reject it.
+	// wire2: headers are already out, so the deadline truncates the
+	// stream and the decoder must reject it.
 	blob, _ := json.Marshal(BatchRequest{Pairs: [][2]int{{0, 63}}})
-	wresp, err := http.Post(ts.URL+"/v1/batch?format=wire", "application/json", bytes.NewReader(blob))
+	wresp, err := http.Post(ts.URL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wresp.Body.Close()
 	if wresp.StatusCode == http.StatusOK {
-		if _, err := serial.DecodeWire(wresp.Body, mesh.MustSquare(2, 8), 0); err == nil {
-			t.Fatal("truncated wire stream decoded cleanly")
+		if _, err := serial.DecodeWireSeg(wresp.Body, mesh.MustSquare(2, 8), 0); err == nil {
+			t.Fatal("truncated wire2 stream decoded cleanly")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"obliviousmesh/internal/mesh"
@@ -111,14 +112,14 @@ func TestBatchEndpointSegmentsJSON(t *testing.T) {
 			t.Fatalf("segpath %d: %v", i, err)
 		}
 	}
-	// The wire formats stay per-request regardless of PathFormat.
+	// The wire format stays per-request regardless of PathFormat.
 	blob, _ := json.Marshal(req)
-	wresp, err := http.Post(ts.URL+"/v1/batch?format=wire", "application/json", bytes.NewReader(blob))
+	wresp, err := http.Post(ts.URL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wresp.Body.Close()
-	if _, err := serial.DecodeWire(wresp.Body, m, 0); err != nil {
+	if _, err := serial.DecodeWireSeg(wresp.Body, m, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,13 +159,7 @@ func TestMeshEndpointAdvertisesFormats(t *testing.T) {
 	if mr.PathFormat != "hops" {
 		t.Fatalf("default PathFormat %q", mr.PathFormat)
 	}
-	want := map[string]bool{"json": false, "wire": false, "wire2": false}
-	for _, f := range mr.Formats {
-		want[f] = true
-	}
-	for f, seen := range want {
-		if !seen {
-			t.Fatalf("format %q not advertised (got %v)", f, mr.Formats)
-		}
+	if got := strings.Join(mr.Formats, ","); got != "json,wire2" {
+		t.Fatalf("advertised formats %v, want [json wire2]", mr.Formats)
 	}
 }

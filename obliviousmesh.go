@@ -56,7 +56,7 @@ type (
 	// the batch Evaluate.
 	LiveLoads = metrics.LiveLoads
 	// EdgeObserver receives each packet's edges during fused batch
-	// selection (see SelectAllObserved).
+	// selection (SelectHooks.Edge).
 	EdgeObserver = core.Observer
 	// SelectRequest is one batch for Router.Select, the router's one
 	// batch entry point: pairs, stream base, workers, an optional
@@ -104,8 +104,8 @@ type RouterOptions struct {
 	// byte-identical paths.
 	ChainSource ChainSource
 	// KSample enables semi-oblivious k-sample selection: each packet
-	// draws KSample independent algorithm-H candidates and the
-	// load-aware entry points (SelectAllSegTracked) commit the one with
+	// draws KSample independent algorithm-H candidates and Router.Select
+	// with a load snapshot (SelectRequest.Snapshot) commits the one with
 	// the least maximum live edge load, ties broken by candidate index.
 	// 0 and 1 mean pure algorithm H — byte-identical paths to an
 	// unsampled router. The plain selection methods stay oblivious
@@ -179,71 +179,6 @@ func SelectAll(ps PathSelector, pairs []Pair) []Path {
 // sharding scheme.
 func NewLiveLoads(m *Mesh, shards int) *LiveLoads {
 	return metrics.NewLiveLoads(m, shards)
-}
-
-// SelectAllTracked routes a whole problem with algorithm H across all
-// CPUs, accounting every edge crossing into live during selection —
-// the fused routing+accounting pipeline. Congestion is then available
-// as live.Max() without a second pass over the paths. Each path is
-// booked as it is finished, run by run (LiveLoads.AddPath).
-func SelectAllTracked(r *Router, pairs []Pair, live *LiveLoads) []Path {
-	m := r.Mesh()
-	paths := make([]Path, len(pairs))
-	r.Select(core.Request{Pairs: pairs, Paths: paths, Hooks: core.Hooks{
-		Path: func(pkt int, _ Pair, p Path, _ RouterStats) {
-			live.AddPath(m, uint64(pkt), p)
-		},
-	}})
-	return paths
-}
-
-// SelectAllObserved routes a whole problem with algorithm H serially,
-// reporting each packet's edges to observe during the single selection
-// pass. It is the general fused hook; SelectAllTracked is the common
-// LiveLoads specialization.
-func SelectAllObserved(r *Router, pairs []Pair, observe EdgeObserver) []Path {
-	paths := make([]Path, len(pairs))
-	r.Select(core.Request{Pairs: pairs, Workers: 1, Paths: paths, Hooks: core.Hooks{Edge: observe}})
-	return paths
-}
-
-// SelectAllSegTracked is SelectAllTracked in the run-length
-// representation: the segment-native engine routes the problem across
-// all CPUs, accounting every run into live in bulk (AddRun's
-// contiguous-stride walk) instead of edge by edge. Expanding the
-// results yields exactly SelectAllTracked's paths, and live holds the
-// identical per-edge loads.
-//
-// With RouterOptions.KSample > 1 the call is semi-oblivious: live is
-// snapshotted once at entry, every packet draws KSample candidates and
-// commits the least-loaded one under that frozen snapshot (ties to the
-// lowest candidate index), and the committed paths are accounted into
-// live as usual. The snapshot freeze keeps the call deterministic for
-// any worker count; load feedback accrues BETWEEN calls — successive
-// calls against the same tracker see each other's traffic.
-func SelectAllSegTracked(r *Router, pairs []Pair, live *LiveLoads) []SegPath {
-	sps, _ := SelectAllKSegTracked(r, pairs, live)
-	return sps
-}
-
-// SelectAllKSegTracked is SelectAllSegTracked plus the sampling
-// accounting: how many candidates were drawn, how often a re-draw beat
-// candidate 0, and the committed score distribution. At KSample ≤ 1
-// the stats degenerate (one candidate per packet, zero re-draw wins)
-// and the paths are pure algorithm H.
-func SelectAllKSegTracked(r *Router, pairs []Pair, live *LiveLoads) ([]SegPath, KSampleStats) {
-	m := r.Mesh()
-	var snapshot []int64
-	if r.Options().KSample > 1 {
-		snapshot = live.Snapshot()
-	}
-	sps := make([]SegPath, len(pairs))
-	_, ks := r.Select(core.Request{Pairs: pairs, Snapshot: snapshot, Segs: sps, Hooks: core.Hooks{
-		Seg: func(pkt int, _ Pair, sp SegPath, _ RouterStats) {
-			live.AddSegPath(m, uint64(pkt), sp)
-		},
-	}})
-	return sps, ks
 }
 
 // EvaluateSeg computes the §2 report of a run-length path set — equal
