@@ -211,7 +211,7 @@ func (c *Client) RouteBatchWire(ctx context.Context, pairs []Pair) ([]Path, erro
 func (c *Client) RouteBatchSeg(ctx context.Context, pairs []Pair) ([]SegPath, error) {
 	sps := make([]SegPath, 0, len(pairs))
 	if err := c.RouteBatchSegFunc(ctx, pairs, func(_ int, sp SegPath) error {
-		sps = append(sps, sp)
+		sps = append(sps, sp.Clone()) // sp is lent
 		return nil
 	}); err != nil {
 		return nil, err
@@ -222,9 +222,13 @@ func (c *Client) RouteBatchSeg(ctx context.Context, pairs []Pair) ([]SegPath, er
 // RouteBatchSegFunc is the streaming form of RouteBatchSeg: fn
 // receives path i for pairs[i] as soon as it is decoded and validated,
 // so a consumer that processes paths on the fly (a tracker booking
-// loads) holds O(1) paths of memory regardless of batch size. Body reads are capped by the largest
-// stream the declared pair count permits, so a lying server cannot
-// balloon client memory.
+// loads) holds O(1) paths of memory regardless of batch size. Body
+// reads are capped by the largest stream the declared pair count
+// permits, so a lying server cannot balloon client memory.
+//
+// The SegPath is lent: its runs live in the decoder's scratch and are
+// valid only until fn returns. A consumer that keeps a path must copy
+// it (SegPath.Clone); RouteBatchSeg does.
 //
 // Delivery is at-most-once per path: retries happen only before the
 // server commits a success status, and any error after delivery starts
@@ -251,7 +255,7 @@ func (c *Client) RouteBatchSegFunc(ctx context.Context, pairs []Pair, fn func(i 
 				return fmt.Errorf("meshrouted: got %d paths for %d pairs", dec.Count(), len(pairs))
 			}
 			for i := 0; i < len(pairs); i++ {
-				sp, err := dec.Next()
+				sp, err := dec.NextLent()
 				if err != nil {
 					return fmt.Errorf("meshrouted: decode wire2 response: %w", err)
 				}

@@ -405,7 +405,10 @@ func (g *Gateway) doRoute(ctx context.Context, w http.ResponseWriter, r *http.Re
 	dec, _, err := g.gather(ctx, buf, nil, pair, stream)
 	var sp obliviousmesh.SegPath
 	if err == nil {
-		sp, err = dec.Next()
+		sp, err = dec.NextLent()
+	}
+	if err == nil {
+		err = dec.Close()
 	}
 	if err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
@@ -454,9 +457,7 @@ func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Re
 	defer g.putBatchScratch(bs)
 	var err error
 	if bs.body, err = server.ReadAppend(bs.body[:0], http.MaxBytesReader(w, r.Body, limit)); err == nil {
-		bs.req.Pairs = bs.req.Pairs[:0]
-		bs.req.Base = 0
-		err = json.Unmarshal(bs.body, &bs.req)
+		err = bs.req.Decode(bs.body)
 	}
 	if err != nil {
 		server.WriteErr(w, http.StatusBadRequest, "decode request: %v", err)
@@ -509,7 +510,7 @@ func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Re
 	segments := g.info.PathFormat == "segments"
 	var rows [][]int
 	for range pairs {
-		sp, err := dec.Next()
+		sp, err := dec.NextLent()
 		if err != nil {
 			return g.writeFanoutErr(ctx, w, err), 0, 0
 		}
@@ -528,6 +529,9 @@ func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Re
 			}
 		}
 		rows = append(rows, row)
+	}
+	if err := dec.Close(); err != nil {
+		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
 	if segments {
 		server.WriteJSON(w, http.StatusOK, segBatchResponse{SegPaths: rows})

@@ -111,7 +111,17 @@ func (m *Mesh) SegWalkEnd(sp SegPath) (NodeID, error) {
 	if int(sp.Start) >= m.size {
 		return -1, fmt.Errorf("mesh: segment path start %d out of range [0,%d)", sp.Start, m.size)
 	}
-	u := sp.Start
+	// Track the walk's coordinates so no run needs a division.
+	var buf [8]int
+	coords := buf[:0]
+	if len(m.dims) > len(buf) {
+		coords = make([]int, 0, len(m.dims))
+	}
+	u := int(sp.Start)
+	for v, i := u, 0; i < len(m.dims); i++ {
+		coords = append(coords, v%m.dims[i])
+		v /= m.dims[i]
+	}
 	for i, sg := range sp.Segs {
 		dim, run := int(sg.Dim), int(sg.Run)
 		if dim < 0 || dim >= len(m.dims) {
@@ -121,21 +131,20 @@ func (m *Mesh) SegWalkEnd(sp SegPath) (NodeID, error) {
 			return -1, fmt.Errorf("mesh: segment %d: empty run along dimension %d", i, dim)
 		}
 		s := m.dims[dim]
-		st := m.strides[dim]
-		ci := (int(u) / st) % s
-		if m.wrapDim(dim) {
-			nci := ((ci+run)%s + s) % s
-			u += NodeID((nci - ci) * st)
-			continue
-		}
+		ci := coords[dim]
 		nci := ci + run
-		if nci < 0 || nci > s-1 {
+		if m.wrapDim(dim) {
+			if nci < 0 || nci >= s { // across the seam; a lap needs the modulus
+				nci = (nci%s + s) % s
+			}
+		} else if nci < 0 || nci > s-1 {
 			return -1, fmt.Errorf("mesh: segment %d: run of %d along dim %d from coordinate %d leaves side %d",
 				i, run, dim, ci, s)
 		}
-		u += NodeID(run * st)
+		coords[dim] = nci
+		u += (nci - ci) * m.strides[dim]
 	}
-	return u, nil
+	return NodeID(u), nil
 }
 
 // Expand materializes the hop-by-hop Path of sp. The result of

@@ -44,9 +44,17 @@ func (ph *pathsHasher) put(v uint64) { ph.h = fnvPut(ph.h, v) }
 
 // fnvPut advances FNV-64a state h over the 8 little-endian bytes of v.
 // Callers that hash several values keep h in a local between calls, so
-// the state never round-trips through memory.
+// the state never round-trips through memory. One byte, the usual
+// OMP2 value, is the inlined case.
 func fnvPut(h, v uint64) uint64 {
-	n := (bits.Len64(v|1) + 7) >> 3 // significant bytes, at least 1
+	if v < 0x100 {
+		return (h ^ v) * fnvPrimePow[8]
+	}
+	return fnvPutLong(h, v)
+}
+
+func fnvPutLong(h, v uint64) uint64 {
+	n := (bits.Len64(v) + 7) >> 3 // significant bytes, at least 2
 	for i := 1; i < n; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64

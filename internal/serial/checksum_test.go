@@ -27,7 +27,8 @@ func (o *fnvOracle) put(v uint64) {
 	o.h.Write(o.buf[:])
 }
 
-// addSeg hashes one run-length record the way segPathsHasher.add does.
+// addSeg hashes one run-length record the way the OMP2 writer and
+// readers do.
 func (o *fnvOracle) addSeg(sp mesh.SegPath) {
 	if sp.Start < 0 {
 		o.put(0)

@@ -1,11 +1,9 @@
 package serial
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"obliviousmesh/internal/mesh"
@@ -33,10 +31,14 @@ import (
 //	    steps varint — run length in hops (≥ 1)
 //	trailer  8 bytes LE — FNV-64a over count and the per-path records
 //
-// Decoding validates every run against the mesh geometry (SegWalkEnd),
-// so an accepted stream always describes valid walks, and the checksum
-// trailer rejects truncation or corruption loudly. Both ends must
-// agree on the mesh (see the service's /v1/mesh endpoint).
+// Every reader — WireSegDecoder, CopyRawWireSeg, WireSegRawScanner,
+// WireSegSplicer — runs one record kernel (wireseg_read.go) that checks
+// each record against the mesh geometry (SegWalkEnd's rule) and
+// requires minimal varints, so an accepted stream describes valid
+// walks in canonical bytes: record bytes and values are bijective, and
+// a trailer that matches the values also pins the bytes. The trailer
+// rejects truncation or corruption loudly. Both ends must agree on the
+// mesh (see the service's /v1/mesh endpoint).
 
 // wireSegMagic identifies the run-length path wire format, version 2.
 const wireSegMagic = "OMP2"
@@ -45,59 +47,44 @@ const wireSegMagic = "OMP2"
 // run-length binary batch responses.
 const WireSegContentType = "application/x-obliviousmesh-segpaths"
 
-// segCode encodes one segment header as dim<<1|dirBit plus the run
-// length in hops. Runs are validated by the caller, so Dim ≥ 0 and
-// Run ≠ 0 hold here. Run directions are close to random along a path,
-// so the sign is taken apart without a branch.
+// segCode encodes a validated segment as dim<<1|dirBit plus the run
+// length in hops. Run directions are close to random along a path, so
+// the sign is taken apart without a branch.
 func segCode(sg mesh.Seg) (code, steps uint64) {
 	run := int64(sg.Run)
 	neg := run >> 63 // -1 for a −direction run, else 0
 	return uint64(sg.Dim)<<1 | uint64(neg+1), uint64((run ^ neg) - neg)
 }
 
-// segPathsHasher extends the incremental FNV checksum to run-length
-// records: flag, then start and the (code, steps) pair of every
-// segment. Encoder and decoder hash the same decoded values, so the
-// trailer pins content, not byte framing.
-type segPathsHasher struct {
-	pathsHasher
-}
-
-func (sh *segPathsHasher) add(sp mesh.SegPath) {
-	if sp.Start < 0 {
-		sh.put(0)
-		return
-	}
-	h := fnvPut(sh.h, uint64(len(sp.Segs))+1)
-	h = fnvPut(h, uint64(sp.Start))
-	for _, sg := range sp.Segs {
-		code, steps := segCode(sg)
-		h = fnvPut(h, code)
-		h = fnvPut(h, steps)
-	}
-	sh.h = h
-}
-
 // AppendWireSegPath appends the run-length encoding of one path to
 // dst, rejecting anything that is not a valid walk on m.
 func AppendWireSegPath(dst []byte, m *mesh.Mesh, sp mesh.SegPath) ([]byte, error) {
+	dst, _, err := appendWireSegPath(dst, 0, m, sp)
+	return dst, err
+}
+
+// appendWireSegPath is AppendWireSegPath extending FNV-64a state h over
+// the record's values in the same pass: the trailer pins the values
+// the readers hash, not byte framing.
+func appendWireSegPath(dst []byte, h uint64, m *mesh.Mesh, sp mesh.SegPath) ([]byte, uint64, error) {
 	if sp.Start < 0 {
 		if len(sp.Segs) != 0 {
-			return dst, fmt.Errorf("serial: wireseg: empty path with %d segments", len(sp.Segs))
+			return dst, h, fmt.Errorf("serial: wireseg: empty path with %d segments", len(sp.Segs))
 		}
-		return binary.AppendUvarint(dst, 0), nil
+		return append(dst, 0), fnvPut(h, 0), nil
 	}
 	if _, err := m.SegWalkEnd(sp); err != nil {
-		return dst, fmt.Errorf("serial: wireseg: %w", err)
+		return dst, h, fmt.Errorf("serial: wireseg: %w", err)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(sp.Segs))+1)
-	dst = binary.AppendUvarint(dst, uint64(sp.Start))
+	flag := uint64(len(sp.Segs)) + 1
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, flag), uint64(sp.Start))
+	h = fnvPut(fnvPut(h, flag), uint64(sp.Start))
 	for _, sg := range sp.Segs {
 		code, steps := segCode(sg)
-		dst = binary.AppendUvarint(dst, code)
-		dst = binary.AppendUvarint(dst, steps)
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, code), steps)
+		h = fnvPut(fnvPut(h, code), steps)
 	}
-	return dst, nil
+	return dst, h, nil
 }
 
 // WireSegEncoder streams a batch of run-length paths: header on
@@ -108,25 +95,29 @@ type WireSegEncoder struct {
 	w    io.Writer
 	m    *mesh.Mesh
 	buf  []byte
-	sum  segPathsHasher
+	h    uint64 // FNV-64a state
 	left int
 }
 
 // NewWireSegEncoder starts a run-length stream of exactly count paths,
 // writing the header immediately.
 func NewWireSegEncoder(w io.Writer, m *mesh.Mesh, count int) (*WireSegEncoder, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("serial: wireseg: negative path count %d", count)
-	}
-	e := &WireSegEncoder{w: w, m: m, left: count}
-	e.sum.init(count)
-	hdr := append(e.buf, wireSegMagic...)
-	hdr = binary.AppendUvarint(hdr, uint64(count))
-	if _, err := w.Write(hdr); err != nil {
+	e := new(WireSegEncoder)
+	if err := e.start(w, m, count); err != nil {
 		return nil, err
 	}
-	e.buf = hdr[:0]
 	return e, nil
+}
+
+func (e *WireSegEncoder) start(w io.Writer, m *mesh.Mesh, count int) error {
+	if count < 0 {
+		return fmt.Errorf("serial: wireseg: negative path count %d", count)
+	}
+	e.w, e.m, e.left = w, m, count
+	e.h = fnvPut(fnvOffset64, uint64(count))
+	e.buf = binary.AppendUvarint(append(e.buf[:0], wireSegMagic...), uint64(count))
+	_, err := w.Write(e.buf)
+	return err
 }
 
 // Encode appends the next path to the stream.
@@ -135,11 +126,9 @@ func (e *WireSegEncoder) Encode(sp mesh.SegPath) error {
 		return fmt.Errorf("serial: wireseg: more paths than the declared count")
 	}
 	var err error
-	e.buf, err = AppendWireSegPath(e.buf[:0], e.m, sp)
-	if err != nil {
+	if e.buf, e.h, err = appendWireSegPath(e.buf[:0], e.h, e.m, sp); err != nil {
 		return err
 	}
-	e.sum.add(sp)
 	e.left--
 	_, werr := e.w.Write(e.buf)
 	return werr
@@ -150,16 +139,12 @@ func (e *WireSegEncoder) Close() error {
 	if e.left != 0 {
 		return fmt.Errorf("serial: wireseg: %d declared paths not encoded", e.left)
 	}
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], e.sum.sum64())
-	_, err := e.w.Write(tail[:])
+	_, err := e.w.Write(binary.LittleEndian.AppendUint64(e.buf[:0], e.h))
 	return err
 }
 
-// wireSegEncPool recycles encoders (and, through them, their varint
-// scratch buffers) across requests, so the serve pipeline frames each
-// request without allocating rather than with a fresh buffer growth
-// curve per batch.
+// wireSegEncPool recycles encoders and their scratch buffers, so the
+// serve pipeline frames each request without allocating.
 var wireSegEncPool = sync.Pool{New: func() any { return new(WireSegEncoder) }}
 
 // AcquireWireSegEncoder is NewWireSegEncoder drawing the encoder and
@@ -167,37 +152,26 @@ var wireSegEncPool = sync.Pool{New: func() any { return new(WireSegEncoder) }}
 // encoder (after Close) to return it; a released encoder must not be
 // used again.
 func AcquireWireSegEncoder(w io.Writer, m *mesh.Mesh, count int) (*WireSegEncoder, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("serial: wireseg: negative path count %d", count)
-	}
 	e := wireSegEncPool.Get().(*WireSegEncoder)
-	e.w, e.m, e.left = w, m, count
-	e.sum.init(count)
-	hdr := append(e.buf[:0], wireSegMagic...)
-	hdr = binary.AppendUvarint(hdr, uint64(count))
-	if _, err := w.Write(hdr); err != nil {
+	if err := e.start(w, m, count); err != nil {
 		e.Release()
 		return nil, err
 	}
-	e.buf = hdr[:0]
 	return e, nil
 }
 
 // Release returns a pooled encoder for reuse, keeping its buffer
 // capacity. Safe on encoders from NewWireSegEncoder too.
 func (e *WireSegEncoder) Release() {
-	e.w, e.m, e.left = nil, nil, 0
-	e.sum = segPathsHasher{}
+	e.w, e.m, e.h, e.left = nil, nil, 0, 0
 	wireSegEncPool.Put(e)
 }
 
 // MaxWireSegBytes bounds the byte size of any OMP2 stream of count
-// paths that the decoder would accept against m: per path a flag and a
-// start varint (≤ 10 bytes each) plus at most 4·size segments — every
-// segment is ≥ 1 hop and the decoder rejects walks over 4·size hops —
-// of two varints each. Clients cap response-body reads with it so a
-// lying server cannot balloon memory past what a valid stream could
-// need.
+// paths a reader accepts against m: per path a flag and a start varint
+// (≤ 10 bytes each) plus at most 4·size segments (every run is ≥ 1 hop,
+// and walks over 4·size hops are rejected) of two varints each. Clients
+// cap response reads with it, so a lying server cannot balloon memory.
 func MaxWireSegBytes(m *mesh.Mesh, count int) int64 {
 	perPath := int64(20) + 80*int64(m.Size())
 	return int64(len(wireSegMagic)) + 10 + int64(count)*perPath + 8
@@ -216,165 +190,4 @@ func EncodeWireSeg(w io.Writer, m *mesh.Mesh, sps []mesh.SegPath) error {
 		}
 	}
 	return enc.Close()
-}
-
-// WireSegDecoder reads an OMP2 stream one path at a time: header
-// validation on construction, one Next call per declared path, Close to
-// verify the checksum trailer. Each Next holds only its own path live,
-// so a consumer that processes paths as they arrive runs at O(1) paths
-// of memory regardless of batch size — the client side of the serve
-// pipeline. The monolithic DecodeWireSeg is this decoder driven to
-// completion.
-type WireSegDecoder struct {
-	br      *bufio.Reader
-	m       *mesh.Mesh
-	count   uint64
-	read    uint64
-	maxHops uint64
-	sum     segPathsHasher
-}
-
-// NewWireSegDecoder validates the stream header (magic, declared count
-// against maxPaths; ≤ 0 means no bound) and returns a decoder
-// positioned at the first path.
-func NewWireSegDecoder(r io.Reader, m *mesh.Mesh, maxPaths int) (*WireSegDecoder, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("serial: wireseg: read magic: %w", err)
-	}
-	if string(magic[:]) != wireSegMagic {
-		return nil, fmt.Errorf("serial: wireseg: bad magic %q", magic[:])
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("serial: wireseg: read count: %w", err)
-	}
-	if maxPaths > 0 && count > uint64(maxPaths) {
-		return nil, fmt.Errorf("serial: wireseg: %d paths exceeds limit %d", count, maxPaths)
-	}
-	if count > uint64(1)<<32 {
-		return nil, fmt.Errorf("serial: wireseg: implausible path count %d", count)
-	}
-	d := &WireSegDecoder{br: br, m: m, count: count}
-	// A simple path revisits no node, and cycle-removed selector paths
-	// are simple; allow slack for general walks while still rejecting
-	// absurd lengths from corrupt streams. Every segment is at least one
-	// hop, so both the segment count and the hop total of one path are
-	// bounded by 4·size.
-	d.maxHops = uint64(4) * uint64(m.Size())
-	d.sum.init(int(count))
-	return d, nil
-}
-
-// Count reports the stream's declared path count.
-func (d *WireSegDecoder) Count() int { return int(d.count) }
-
-// Next decodes and validates the next path. The returned SegPath is
-// freshly allocated and caller-owned. Calling Next past the declared
-// count returns io.EOF; trailer verification is Close's job.
-func (d *WireSegDecoder) Next() (mesh.SegPath, error) {
-	if d.read >= d.count {
-		return mesh.SegPath{}, io.EOF
-	}
-	i := d.read
-	flag, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d: read segment count: %w", i, err)
-	}
-	if flag == 0 {
-		sp := mesh.SegPath{Start: -1}
-		d.sum.add(sp)
-		d.read++
-		return sp, nil
-	}
-	nsegs := flag - 1
-	if nsegs > d.maxHops {
-		return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d: implausible segment count %d", i, nsegs)
-	}
-	start, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d: read start: %w", i, err)
-	}
-	if start >= uint64(d.m.Size()) {
-		return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d: start %d out of range", i, start)
-	}
-	sp := mesh.SegPath{Start: mesh.NodeID(start)}
-	if nsegs > 0 {
-		sp.Segs = make([]mesh.Seg, 0, nsegs)
-	}
-	hops := uint64(0)
-	for j := uint64(0); j < nsegs; j++ {
-		code, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d segment %d: read code: %w", i, j, err)
-		}
-		steps, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d segment %d: read length: %w", i, j, err)
-		}
-		dim := code >> 1
-		if dim >= uint64(d.m.Dim()) {
-			return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d segment %d: dimension %d out of range", i, j, dim)
-		}
-		if steps == 0 {
-			return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d segment %d: empty run", i, j)
-		}
-		if hops += steps; hops > d.maxHops || steps > math.MaxInt32 {
-			return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d: implausible length %d", i, hops)
-		}
-		run := int32(steps)
-		if code&1 == 0 {
-			run = -run
-		}
-		sp.Segs = append(sp.Segs, mesh.Seg{Dim: int32(dim), Run: run})
-	}
-	if _, err := d.m.SegWalkEnd(sp); err != nil {
-		return mesh.SegPath{}, fmt.Errorf("serial: wireseg: path %d: %w", i, err)
-	}
-	d.sum.add(sp)
-	d.read++
-	return sp, nil
-}
-
-// Close verifies the checksum trailer after every declared path has
-// been read; the stream is invalid without it.
-func (d *WireSegDecoder) Close() error {
-	if d.read != d.count {
-		return fmt.Errorf("serial: wireseg: %d declared paths not decoded", d.count-d.read)
-	}
-	var tail [8]byte
-	if _, err := io.ReadFull(d.br, tail[:]); err != nil {
-		return fmt.Errorf("serial: wireseg: read checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint64(tail[:]); got != d.sum.sum64() {
-		return fmt.Errorf("serial: wireseg: checksum mismatch (stored %x, decoded %x)", got, d.sum.sum64())
-	}
-	return nil
-}
-
-// DecodeWireSeg reads an OMP2 stream back into run-length paths,
-// verifying every run against the mesh and the checksum trailer.
-// maxPaths bounds the declared count (≤ 0 means no bound) so a hostile
-// stream cannot force a huge allocation up front.
-func DecodeWireSeg(r io.Reader, m *mesh.Mesh, maxPaths int) ([]mesh.SegPath, error) {
-	d, err := NewWireSegDecoder(r, m, maxPaths)
-	if err != nil {
-		return nil, err
-	}
-	sps := make([]mesh.SegPath, 0, d.count)
-	for i := uint64(0); i < d.count; i++ {
-		sp, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		sps = append(sps, sp)
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return sps, nil
 }

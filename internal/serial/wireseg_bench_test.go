@@ -33,12 +33,19 @@ func wireSegCorpus(tb testing.TB) (*mesh.Mesh, []mesh.SegPath) {
 // hashFolded and hashFNV checksum every record of sps, with the wire
 // hasher and with hash/fnv fed the same values.
 func hashFolded(sps []mesh.SegPath) uint64 {
-	var sh segPathsHasher
-	sh.init(len(sps))
+	h := fnvPut(fnvOffset64, uint64(len(sps)))
 	for _, sp := range sps {
-		sh.add(sp)
+		if sp.Start < 0 {
+			h = fnvPut(h, 0)
+			continue
+		}
+		h = fnvPut(fnvPut(h, uint64(len(sp.Segs))+1), uint64(sp.Start))
+		for _, sg := range sp.Segs {
+			code, steps := segCode(sg)
+			h = fnvPut(fnvPut(h, code), steps)
+		}
 	}
-	return sh.sum64()
+	return h
 }
 
 func hashFNV(sps []mesh.SegPath) uint64 {
@@ -51,8 +58,11 @@ func hashFNV(sps []mesh.SegPath) uint64 {
 }
 
 // BenchmarkWireSeg prices the OMP2 codec on one recorded side-256
-// Algorithm-H batch, per path: encode (validation, varints, checksum),
-// decode (varints, validation, checksum), and the checksum alone with
+// Algorithm-H batch, per path: encode (validation, varints, checksum);
+// decode into caller-owned paths and decode-lent into the decoder's
+// scratch (the client's RouteBatchSegFunc); the gateway's two raw
+// passes, copy-raw (CopyRawWireSeg: header, records, trailer) and
+// splice (WireSegSplicer over the payload); and the checksum alone with
 // the folded wire hasher and with hash/fnv.
 func BenchmarkWireSeg(b *testing.B) {
 	m, sps := wireSegCorpus(b)
@@ -87,6 +97,54 @@ func BenchmarkWireSeg(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeWireSeg(bytes.NewReader(blob), m, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPath(b)
+	})
+	b.Run("side256/decode-lent", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d, err := NewWireSegDecoder(bytes.NewReader(blob), m, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for range sps {
+				if _, err := d.NextLent(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPath(b)
+	})
+	b.Run("side256/copy-raw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := CopyRawWireSeg(io.Discard, bytes.NewReader(blob), m, len(sps)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPath(b)
+	})
+	b.Run("side256/splice", func(b *testing.B) {
+		var payload bytes.Buffer
+		if _, _, err := CopyRawWireSeg(&payload, bytes.NewReader(blob), m, len(sps)); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			spl, err := NewWireSegSplicer(io.Discard, m, len(sps))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := spl.Splice(payload.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+			if err := spl.Close(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package serial
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -25,52 +26,99 @@ func segPathEdges(sps []mesh.SegPath) int64 {
 	return total
 }
 
+// longWalk is a valid walk of n unit runs around a unit square from
+// node 0: a record of about 2n bytes, for streams whose records
+// outgrow the readers' 32 KiB window.
+func longWalk(n int) mesh.SegPath {
+	sp := mesh.SegPath{Start: 0}
+	for i := 0; i < n; i++ {
+		run := int32(1)
+		if i%4 >= 2 {
+			run = -1
+		}
+		sp.Segs = append(sp.Segs, mesh.Seg{Dim: int32(i % 2), Run: run})
+	}
+	return sp
+}
+
+// readerShapes wrap a whole-stream reader the ways the readers must
+// tolerate: whole, one byte per Read, and half of each request.
+var readerShapes = []struct {
+	name string
+	wrap func([]byte) io.Reader
+}{
+	{"whole", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+}
+
 // The raw extractor must reproduce a stream exactly: header + extracted
 // payload + scanned trailer == the encoder's bytes, and the accounting
-// (paths, edges) must match the decoded view.
+// (paths, edges) must match the decoded view — through every reader
+// shape, and for a record longer than the read window.
 func TestWireSegRawCopyGolden(t *testing.T) {
+	type batch struct {
+		m   *mesh.Mesh
+		sps []mesh.SegPath
+	}
+	var batches []batch
 	for _, m := range []*mesh.Mesh{
 		mesh.MustSquare(2, 8),
 		mesh.MustSquare(3, 4),
 		mesh.MustSquareTorus(2, 8),
 	} {
 		sps, _ := routedSegPaths(t, m, 11)
-		sps = append(sps, mesh.SegPath{Start: -1}, mesh.SegPath{Start: 3})
+		batches = append(batches, batch{m, append(sps, mesh.SegPath{Start: -1}, mesh.SegPath{Start: 3})})
+	}
+	batches = append(batches, batch{mesh.MustSquare(2, 128), []mesh.SegPath{
+		{Start: 5, Segs: []mesh.Seg{{Dim: 1, Run: 3}}}, longWalk(20000), {Start: -1},
+	}})
+	for _, bt := range batches {
+		m, sps := bt.m, bt.sps
 		var blob bytes.Buffer
 		if err := EncodeWireSeg(&blob, m, sps); err != nil {
 			t.Fatal(err)
 		}
+		for _, shape := range readerShapes {
+			var payload bytes.Buffer
+			n, edges, err := CopyRawWireSeg(&payload, shape.wrap(blob.Bytes()), m, len(sps))
+			if err != nil {
+				t.Fatalf("%v %s: raw copy: %v", m, shape.name, err)
+			}
+			if want := segPathEdges(sps); edges != want {
+				t.Fatalf("%v %s: raw copy counted %d edges, want %d", m, shape.name, edges, want)
+			}
+			if n != int64(payload.Len()) {
+				t.Fatalf("%v %s: raw copy reported %d payload bytes, wrote %d", m, shape.name, n, payload.Len())
+			}
 
-		var payload bytes.Buffer
-		// One-byte reads: the fill loop must tolerate any chunking.
-		n, edges, err := CopyRawWireSeg(&payload, iotest.OneByteReader(bytes.NewReader(blob.Bytes())), m, len(sps))
-		if err != nil {
-			t.Fatalf("%v: raw copy: %v", m, err)
-		}
-		if want := segPathEdges(sps); edges != want {
-			t.Fatalf("%v: raw copy counted %d edges, want %d", m, edges, want)
-		}
-		if n != int64(payload.Len()) {
-			t.Fatalf("%v: raw copy reported %d payload bytes, wrote %d", m, n, payload.Len())
-		}
+			// Re-assemble through the splicer: byte-identical to the encoder.
+			var rebuilt bytes.Buffer
+			spl, err := NewWireSegSplicer(&rebuilt, m, len(sps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := spl.Splice(payload.Bytes()); err != nil {
+				t.Fatalf("%v %s: splice: %v", m, shape.name, err)
+			}
+			if spl.Paths() != len(sps) || spl.Edges() != edges {
+				t.Fatalf("%v %s: splicer books %d paths/%d edges, want %d/%d", m, shape.name, spl.Paths(), spl.Edges(), len(sps), edges)
+			}
+			if err := spl.Close(); err != nil {
+				t.Fatalf("%v %s: splice close: %v", m, shape.name, err)
+			}
+			if !bytes.Equal(rebuilt.Bytes(), blob.Bytes()) {
+				t.Fatalf("%v %s: spliced stream differs from the encoder's bytes", m, shape.name)
+			}
 
-		// Re-assemble through the splicer: byte-identical to the encoder.
-		var rebuilt bytes.Buffer
-		spl, err := NewWireSegSplicer(&rebuilt, m, len(sps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := spl.Splice(payload.Bytes()); err != nil {
-			t.Fatalf("%v: splice: %v", m, err)
-		}
-		if spl.Paths() != len(sps) || spl.Edges() != edges {
-			t.Fatalf("%v: splicer books %d paths/%d edges, want %d/%d", m, spl.Paths(), spl.Edges(), len(sps), edges)
-		}
-		if err := spl.Close(); err != nil {
-			t.Fatalf("%v: splice close: %v", m, err)
-		}
-		if !bytes.Equal(rebuilt.Bytes(), blob.Bytes()) {
-			t.Fatalf("%v: spliced stream differs from the encoder's bytes", m)
+			// The decoder reads the same paths through the same shape.
+			got, err := DecodeWireSeg(shape.wrap(blob.Bytes()), m, 0)
+			if err != nil {
+				t.Fatalf("%v %s: decode: %v", m, shape.name, err)
+			}
+			if !segPathsEqual(got, sps) {
+				t.Fatalf("%v %s: decoded paths differ from the encoded ones", m, shape.name)
+			}
 		}
 	}
 }

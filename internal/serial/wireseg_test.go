@@ -2,6 +2,8 @@ package serial
 
 import (
 	"bytes"
+	"io"
+	"strings"
 	"testing"
 
 	"obliviousmesh/internal/core"
@@ -142,6 +144,26 @@ func TestWireSegChecksumAndTruncation(t *testing.T) {
 	for _, cut := range []int{0, 3, 5, len(blob) / 2, len(blob) - 1} {
 		if _, err := DecodeWireSeg(bytes.NewReader(blob[:cut]), m, 0); err == nil {
 			t.Fatalf("truncated stream (%d bytes) decoded cleanly", cut)
+		}
+	}
+
+	// A non-minimal varint carries the same value, so the trailer still
+	// matches; every reader rejects it all the same, in the header or in
+	// a record (first record's flag, here).
+	hdr := len(wireSegMagic)
+	for blob[hdr]&0x80 != 0 {
+		hdr++
+	}
+	for name, at := range map[string]int{"count": hdr, "flag": hdr + 1} {
+		if blob[at] >= 0x80 {
+			t.Fatalf("%s varint at %d is not one byte", name, at)
+		}
+		long := append(append(append([]byte(nil), blob[:at]...), blob[at]|0x80, 0), blob[at+1:]...)
+		if _, err := DecodeWireSeg(bytes.NewReader(long), m, 0); err == nil || !strings.Contains(err.Error(), "non-minimal") {
+			t.Fatalf("non-minimal %s varint: decoder error %v", name, err)
+		}
+		if _, _, err := CopyRawWireSeg(io.Discard, bytes.NewReader(long), m, len(sps)); err == nil || !strings.Contains(err.Error(), "non-minimal") {
+			t.Fatalf("non-minimal %s varint: raw copy error %v", name, err)
 		}
 	}
 

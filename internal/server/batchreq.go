@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -13,12 +14,46 @@ import (
 // produced for the whole batch (advertised as the "batch-base" feature
 // on /v1/mesh).
 //
-// encoding/json decodes the envelope (key matching, unknown keys,
-// base); the pairs array is parsed by PairList.UnmarshalJSON.
+// Decode reads a body in one pass when it has the shape every client in
+// this module sends; encoding/json decodes any other envelope (key
+// matching, unknown keys, base), with the pairs array parsed by
+// PairList.UnmarshalJSON either way.
 type BatchRequest struct {
 	Pairs PairList `json:"pairs"`
 	Base  uint64   `json:"base,omitempty"`
 }
+
+// Decode resets r (keeping the pairs' backing array) and decodes the
+// /v1/batch body data into it, with exactly json.Unmarshal's result
+// and error. The body every client in this module sends —
+// {"pairs":[...]} with an optional ,"base":N, whitespace allowed
+// between tokens — is parsed in one pass by the pair parser. Anything
+// else, including every body that fails to parse, goes to
+// encoding/json, which folds key case (ſ matches s, the Kelvin sign k),
+// accepts escapes and duplicate keys, and words the errors.
+func (r *BatchRequest) Decode(data []byte) error {
+	p := pairParser{data: data}
+	if p.next(`{`) && p.next(`"pairs"`) && p.next(`:`) {
+		p.skipSpace()
+		pl, err := p.list(r.Pairs[:0])
+		r.Pairs, r.Base = pl, 0
+		if err == nil && p.next(`,`) {
+			err = errNotCanonical
+			if p.next(`"base"`) && p.next(`:`) {
+				p.skipSpace()
+				r.Base, err = p.uint64()
+			}
+		}
+		if err == nil && p.next(`}`) && p.end() == nil {
+			return nil
+		}
+	}
+	r.Pairs, r.Base = r.Pairs[:0], 0
+	return json.Unmarshal(data, r)
+}
+
+// errNotCanonical sends Decode to encoding/json; it is never returned.
+var errNotCanonical = errors.New("not the canonical batch body")
 
 // PairList is the "pairs" array of a batch request: every element is
 // exactly [s, t], two JSON integers that fit an int. Anything else —
@@ -37,36 +72,45 @@ type PairList [][2]int
 // still checks every byte it relies on.
 func (pl *PairList) UnmarshalJSON(data []byte) error {
 	p := pairParser{data: data}
-	out := (*pl)[:0]
 	p.skipSpace()
 	if p.literal("null") {
-		*pl = out
+		*pl = (*pl)[:0]
 		return p.end()
 	}
-	if !p.consume('[') {
-		return errors.New("pairs: want an array of [s, t] pairs")
-	}
-	if p.skipSpace(); !p.consume(']') {
-		for k := 0; ; k++ {
-			var pr [2]int
-			if err := p.pair(k, &pr); err != nil {
-				return err
-			}
-			out = append(out, pr)
-			if p.skipSpace(); p.consume(']') {
-				break
-			}
-			if !p.consume(',') {
-				return fmt.Errorf("pairs: after pair %d: want ',' or ']'", k)
-			}
-			p.skipSpace()
-		}
-	}
+	out, err := p.list((*pl)[:0])
 	*pl = out
+	if err != nil {
+		return err
+	}
 	return p.end()
 }
 
-// pairParser is a cursor over the bytes of one pairs array.
+// list parses a pairs array at the cursor, appending to out.
+func (p *pairParser) list(out PairList) (PairList, error) {
+	if !p.consume('[') {
+		return out, errors.New("pairs: want an array of [s, t] pairs")
+	}
+	if p.skipSpace(); p.consume(']') {
+		return out, nil
+	}
+	for k := 0; ; k++ {
+		var pr [2]int
+		if err := p.pair(k, &pr); err != nil {
+			return out, err
+		}
+		out = append(out, pr)
+		if p.skipSpace(); p.consume(']') {
+			return out, nil
+		}
+		if !p.consume(',') {
+			return out, fmt.Errorf("pairs: after pair %d: want ',' or ']'", k)
+		}
+		p.skipSpace()
+	}
+}
+
+// pairParser is a cursor over the bytes of a pairs array, or of a
+// whole body in Decode.
 type pairParser struct {
 	data []byte
 	i    int
@@ -81,6 +125,13 @@ func (p *pairParser) skipSpace() {
 			return
 		}
 	}
+}
+
+// next skips whitespace, then advances past lit if the next bytes
+// spell it.
+func (p *pairParser) next(lit string) bool {
+	p.skipSpace()
+	return p.literal(lit)
 }
 
 // consume advances past c if it is the next byte.
@@ -173,6 +224,27 @@ func (p *pairParser) int(k int) (int, error) {
 		return int(-v), nil // two's complement wraps |math.MinInt| to itself
 	}
 	return int(v), nil
+}
+
+// uint64 parses a JSON integer that fits a uint64: digits with no
+// leading zero, and no sign, fraction or exponent. Decode's canonical
+// path takes only what json.Unmarshal would store in BatchRequest.Base.
+func (p *pairParser) uint64() (uint64, error) {
+	digits := p.i
+	var v uint64
+	for p.i < len(p.data) && '0' <= p.data[p.i] && p.data[p.i] <= '9' {
+		d := uint64(p.data[p.i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, errNotCanonical
+		}
+		v = v*10 + d
+		p.i++
+	}
+	n := p.i - digits
+	if n == 0 || n > 1 && p.data[digits] == '0' || p.i < len(p.data) && (p.data[p.i] == '.' || p.data[p.i] == 'e' || p.data[p.i] == 'E') {
+		return 0, errNotCanonical
+	}
+	return v, nil
 }
 
 // token describes the value at the cursor for an error message: the

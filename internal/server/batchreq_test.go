@@ -229,12 +229,15 @@ func oracleBatch(data []byte) (PairList, uint64, bool) {
 	return pl, env.Base, ok
 }
 
-// FuzzBatchRequest checks the pair parser against encoding/json: a
+// FuzzBatchRequest checks BatchRequest.Decode against two oracles. A
 // body is accepted iff encoding/json accepts its envelope and every
 // pairs element is an array of exactly two integer members within int
-// range, and then the decoded pairs and base equal the oracle's. The
-// request starts with a pooled-looking backing array full of
-// sentinels, so a parser that skips an element leaves one behind and
+// range (oracleBatch), and then the decoded pairs and base equal the
+// oracle's. And Decode is json.Unmarshal: the same result, and the
+// same error text, on every input — the one-pass canonical path may
+// only take bodies whose outcome it cannot change. Requests start with
+// a pooled-looking backing array full of sentinels and a stale base, so
+// a parser that skips an element or a reset leaves one behind and
 // fails.
 func FuzzBatchRequest(f *testing.F) {
 	for _, tc := range malformedPairBodies {
@@ -246,28 +249,61 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"pairs":[[1,2]],"pairs":[[3,4]],"base":7}`))
 	f.Add([]byte(`{"pAirs":[[0]],"pairs":[]}`))
 	f.Add([]byte(`{"pairs":[[1,2]],"base":-1}`))
+	// Both sides of Decode's canonical-body boundary.
+	for _, body := range []string{
+		`{"pairs":[[1,2],[3,4]]}`,
+		`{"pairs":[[1,2]],"base":9}`,
+		`{"pairſ":[[1,2]]}`,
+		`{"PAIRS":[[1,2]],"base":3}`,
+		`{"pairs":[[1,2]],"pairs":[[5,6]]}`,
+		`{"pairs":[[1,2]],"base":0}`,
+		`{"pairs":[[1,2]],"base":07}`,
+		`{"pairs":[[1,2]],"base":18446744073709551615}`,
+		`{"pairs":[[1,2]],"base":18446744073709551616}`,
+		`{"pairs":[[1,2]],"base":1.0}`,
+		`{"pairs":[[1,2]],"base":2,"base":3}`,
+		"{\"pairs\":[[1,2]],\"base\":4} \n\t",
+		`{"pairs":[[1,2]]}x`,
+		`{"pairs":[[1,2],[3]]}`,
+		`{"pairs":null}`,
+		`{"pairs":[[1,2]],"ba\u0073e":5}`,
+	} {
+		f.Add([]byte(body))
+	}
 
 	const sentinel = -424242
-	f.Fuzz(func(t *testing.T, data []byte) {
+	fresh := func() BatchRequest {
 		backing := make(PairList, 8)
 		for i := range backing {
 			backing[i] = [2]int{sentinel, sentinel}
 		}
-		req := BatchRequest{Pairs: backing[:0]}
-		err := json.Unmarshal(data, &req)
+		return BatchRequest{Pairs: backing[:0], Base: 99}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := fresh()
+		err := req.Decode(data)
+
+		ref := fresh()
+		ref.Base = 0
+		refErr := json.Unmarshal(data, &ref)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("%q: Decode error %v, json.Unmarshal error %v", data, err, refErr)
+		}
+
 		want, base, ok := oracleBatch(data)
 		if (err == nil) != ok {
-			t.Fatalf("%q: parser error %v, oracle accepts %v", data, err, ok)
+			t.Fatalf("%q: Decode error %v, oracle accepts %v", data, err, ok)
 		}
 		if err != nil {
 			return
 		}
-		if len(req.Pairs) != len(want) || req.Base != base {
-			t.Fatalf("%q: decoded %v base %d, oracle %v base %d", data, req.Pairs, req.Base, want, base)
+		if len(req.Pairs) != len(want) || req.Base != base || len(ref.Pairs) != len(want) || ref.Base != base {
+			t.Fatalf("%q: decoded %v base %d, json.Unmarshal %v base %d, oracle %v base %d",
+				data, req.Pairs, req.Base, ref.Pairs, ref.Base, want, base)
 		}
 		for i := range want {
-			if req.Pairs[i] != want[i] {
-				t.Fatalf("%q: pair %d decoded %v, oracle %v", data, i, req.Pairs[i], want[i])
+			if req.Pairs[i] != want[i] || ref.Pairs[i] != want[i] {
+				t.Fatalf("%q: pair %d decoded %v, json.Unmarshal %v, oracle %v", data, i, req.Pairs[i], ref.Pairs[i], want[i])
 			}
 		}
 	})

@@ -448,9 +448,7 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 	defer s.putBatchScratch(bs)
 	var err error
 	if bs.body, err = ReadAppend(bs.body[:0], body); err == nil {
-		bs.req.Pairs = bs.req.Pairs[:0]
-		bs.req.Base = 0
-		err = json.Unmarshal(bs.body, &bs.req)
+		err = bs.req.Decode(bs.body)
 	}
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, "decode request: %v", err)
