@@ -44,7 +44,7 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 # GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
 # custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..21.json)
 # form the trajectory.
-BENCH_JSON ?= BENCH_PR22.json
+BENCH_JSON ?= BENCH_PR23.json
 
 build:
 	$(GO) build ./...

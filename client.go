@@ -68,9 +68,6 @@ type ServerInfo struct {
 	Seed     uint64          `json:"seed"`
 	Variant  string          `json:"variant"`
 	MaxBatch int             `json:"maxBatch"`
-	// PathFormat is the daemon's JSON path representation ("hops" or
-	// "segments"); empty on daemons predating the field.
-	PathFormat string `json:"pathFormat"`
 	// KSample is the daemon's semi-oblivious candidate count; 0 or 1
 	// means pure oblivious selection.
 	KSample int `json:"ksample"`

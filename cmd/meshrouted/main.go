@@ -9,8 +9,7 @@
 //	meshrouted [-addr :8732] [-d 2] [-side 32] [-torus] [-seed 1]
 //	           [-max-inflight 0] [-max-queue 0] [-max-batch 65536]
 //	           [-workers 4] [-timeout 10s] [-drain-timeout 30s]
-//	           [-pathfmt hops] [-chainsource table]
-//	           [-ksample 1] [-pprof]
+//	           [-chainsource table] [-ksample 1] [-pprof]
 //
 // -pprof mounts net/http/pprof under /debug/pprof/ on this server's
 // mux (never the global one); it is off by default and should stay off
@@ -23,11 +22,9 @@
 // meshrouted_ksample_* section, and /v1/mesh reports the configured k.
 // k = 1 (the default) serves pure algorithm H.
 //
-// -pathfmt selects the JSON representation of /v1/batch replies:
-// "hops" (node-id arrays, the default) or "segments" (flat run-length
-// records [start, dim0, run0, ...], typically ~8x smaller). The binary
-// wire2 format is negotiated per request (?format=wire2) regardless of
-// this flag.
+// /v1/batch answers JSON node-id arrays by default and the run-length
+// wire2 format when the request asks for it (?format=wire2); both are
+// rendered from the same run-length selection.
 //
 // The daemon prints "listening on http://<host:port>" once the socket
 // is bound (use -addr :0 to pick a free port and read it from that
@@ -80,7 +77,6 @@ type config struct {
 	workers      int
 	timeout      time.Duration
 	drainTimeout time.Duration
-	pathFmt      string
 	chainSource  string
 	ksample      int
 	pprof        bool
@@ -106,7 +102,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.workers, "workers", 0, "path-selection workers per batch request (0 = default)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "per-request deadline (0 = default)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-	fs.StringVar(&cfg.pathFmt, "pathfmt", "hops", "JSON path representation for /v1/batch: \"hops\" (node-id arrays) or \"segments\" (run-length records)")
 	fs.StringVar(&cfg.chainSource, "chainsource", "table", `chain backend: "table" (compiled routing table) or "none" (recompute per packet)`)
 	fs.IntVar(&cfg.ksample, "ksample", 1, "semi-oblivious candidates per packet: draw k algorithm-H paths, commit the least live-loaded (1 = pure algorithm H)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; enable only on trusted networks)")
@@ -149,8 +144,6 @@ func validate(cfg config) error {
 		return fmt.Errorf("-timeout must be >= 0 (got %v)", cfg.timeout)
 	case cfg.drainTimeout <= 0:
 		return fmt.Errorf("-drain-timeout must be > 0 (got %v)", cfg.drainTimeout)
-	case cfg.pathFmt != "hops" && cfg.pathFmt != "segments":
-		return fmt.Errorf(`-pathfmt must be "hops" or "segments" (got %q)`, cfg.pathFmt)
 	case cfg.ksample < 1:
 		return fmt.Errorf("-ksample must be >= 1 (got %d)", cfg.ksample)
 	}
@@ -177,7 +170,6 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 		MaxBatch:       cfg.maxBatch,
 		BatchWorkers:   cfg.workers,
 		RequestTimeout: cfg.timeout,
-		PathFormat:     cfg.pathFmt,
 		KSample:        cfg.ksample,
 	})
 	if err != nil {

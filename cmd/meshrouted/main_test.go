@@ -35,12 +35,12 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative timeout", []string{"-timeout", "-1s"}, 2, "-timeout must be >= 0"},
 		{"zero drain-timeout", []string{"-drain-timeout", "0s"}, 2, "-drain-timeout must be > 0"},
 		{"malformed duration", []string{"-timeout", "soon"}, 2, "invalid value"},
-		{"bad pathfmt", []string{"-pathfmt", "runs"}, 2, `-pathfmt must be "hops" or "segments" (got "runs")`},
 		{"zero ksample", []string{"-ksample", "0"}, 2, "-ksample must be >= 1"},
 		{"negative ksample", []string{"-ksample", "-3"}, 2, "-ksample must be >= 1"},
 		{"bad chainsource", []string{"-chainsource", "disk"}, 2, "-chainsource"},
 		{"removed chainsource cache", []string{"-chainsource", "cache"}, 2, `-chainsource: chain source "cache" was removed`},
 		{"removed nochaincache flag", []string{"-nochaincache"}, 2, "flag provided but not defined: -nochaincache"},
+		{"removed pathfmt flag", []string{"-pathfmt", "hops"}, 2, "flag provided but not defined: -pathfmt"},
 		{"bad pprof value", []string{"-pprof=maybe"}, 2, "invalid boolean value"},
 		{"removed nopipeline flag", []string{"-nopipeline"}, 2, "flag provided but not defined: -nopipeline"},
 	}
@@ -184,54 +184,6 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	for _, want := range []string{"draining", "drained cleanly", "1 requests served"} {
 		if !strings.Contains(output, want) {
 			t.Errorf("drain output missing %q:\n%s", want, output)
-		}
-	}
-}
-
-// A daemon booted with -pathfmt segments must advertise the format on
-// /v1/mesh and answer JSON batches with run-length records whose
-// endpoints match the requested pairs.
-func TestDaemonPathFmtSegments(t *testing.T) {
-	baseURL, shutdown := bootDaemon(t, "-side", "8", "-seed", "3", "-pathfmt", "segments")
-	defer shutdown()
-
-	resp, err := http.Get(baseURL + "/v1/mesh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info struct {
-		PathFormat string `json:"pathFormat"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if info.PathFormat != "segments" {
-		t.Fatalf("advertised pathFormat %q, want segments", info.PathFormat)
-	}
-
-	pairs := [][2]int{{0, 63}, {7, 56}}
-	blob := []byte(`{"pairs":[[0,63],[7,56]]}`)
-	resp, err = http.Post(baseURL+"/v1/batch", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var br struct {
-		SegPaths [][]int `json:"segpaths"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(br.SegPaths) != len(pairs) {
-		t.Fatalf("batch: status %d, %d segpaths", resp.StatusCode, len(br.SegPaths))
-	}
-	for i, rec := range br.SegPaths {
-		if len(rec) < 1 || len(rec)%2 != 1 {
-			t.Fatalf("segpath %d: malformed record %v", i, rec)
-		}
-		if rec[0] != pairs[i][0] {
-			t.Fatalf("segpath %d starts at %d, want %d", i, rec[0], pairs[i][0])
 		}
 	}
 }

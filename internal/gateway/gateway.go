@@ -40,12 +40,8 @@ import (
 	obliviousmesh "obliviousmesh"
 	"obliviousmesh/internal/mesh"
 	"obliviousmesh/internal/metrics"
-	"obliviousmesh/internal/serial"
 	"obliviousmesh/internal/server"
 )
-
-// maxStreamBase mirrors the daemon's cap on the batch "base" field.
-const maxStreamBase = 1 << 40
 
 // errNoBackends is the fan-out's terminal failure: every backend is
 // dead, draining, or already tried for this shard.
@@ -55,9 +51,9 @@ var errNoBackends = errors.New("gateway: no healthy backends")
 // picks a production-ish default.
 type Config struct {
 	// Backends lists the meshrouted base URLs the gateway shards over.
-	// All backends must serve the same (mesh, seed, variant, path
-	// format, ksample) and advertise wire2 + batch-base; New refuses a
-	// mismatched or incapable member instead of serving wrong bytes.
+	// All backends must serve the same (mesh, seed, variant, ksample)
+	// and advertise wire2 + batch-base; New refuses a mismatched or
+	// incapable member instead of serving wrong bytes.
 	Backends []string
 	// HTTPClient overrides the transport shared by the backend clients.
 	HTTPClient *http.Client
@@ -281,8 +277,6 @@ func (g *Gateway) admitMember(info obliviousmesh.ServerInfo) error {
 		return fmt.Errorf("seed %d differs from cluster %d", info.Seed, ref.Seed)
 	case ref.Variant != info.Variant:
 		return fmt.Errorf("variant %q differs from cluster %q", info.Variant, ref.Variant)
-	case ref.PathFormat != info.PathFormat:
-		return fmt.Errorf("path format %q differs from cluster %q", info.PathFormat, ref.PathFormat)
 	case ref.KSample != info.KSample:
 		return fmt.Errorf("ksample %d differs from cluster %d", info.KSample, ref.KSample)
 	}
@@ -358,12 +352,6 @@ func (g *Gateway) admitOrShed(ctx context.Context, w http.ResponseWriter, c *met
 	return true
 }
 
-// routeResponse mirrors the daemon's /v1/route reply shape.
-type routeResponse struct {
-	Stream uint64 `json:"stream"`
-	Path   []int  `json:"path"`
-}
-
 func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		server.WriteErr(w, http.StatusMethodNotAllowed, "POST only")
@@ -413,23 +401,11 @@ func (g *Gateway) doRoute(ctx context.Context, w http.ResponseWriter, r *http.Re
 	if err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
-	p := sp.Expand(g.m)
-	resp := routeResponse{Stream: stream, Path: make([]int, len(p))}
-	for i, n := range p {
-		resp.Path[i] = int(n)
-	}
-	server.WriteJSON(w, http.StatusOK, resp)
-	return http.StatusOK, 1, int64(p.Len())
-}
-
-// batchResponse / segBatchResponse mirror the daemon's JSON replies
-// byte for byte.
-type batchResponse struct {
-	Paths [][]int `json:"paths"`
-}
-
-type segBatchResponse struct {
-	SegPaths [][]int `json:"segpaths"`
+	rows := server.AcquireHopRows()
+	defer rows.Release()
+	rows.Append(g.m, sp)
+	server.WriteJSON(w, http.StatusOK, server.RouteResponse{Stream: stream, Path: rows.Rows()[0]})
+	return http.StatusOK, 1, int64(sp.Len())
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -468,14 +444,14 @@ func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Re
 		server.WriteErr(w, http.StatusRequestEntityTooLarge, "%d pairs exceeds max batch %d", len(req.Pairs), g.maxBatch)
 		return http.StatusRequestEntityTooLarge, 0, 0
 	}
-	if req.Base > maxStreamBase {
-		server.WriteErr(w, http.StatusBadRequest, "base %d exceeds max %d", req.Base, uint64(maxStreamBase))
+	if req.Base > server.MaxStreamBase {
+		server.WriteErr(w, http.StatusBadRequest, "base %d exceeds max %d", req.Base, uint64(server.MaxStreamBase))
 		return http.StatusBadRequest, 0, 0
 	}
 	// Stricter than one daemon by len(pairs): shard j re-posts with
 	// base+lo, which must itself pass the daemon's base check.
-	if req.Base+uint64(len(req.Pairs)) > maxStreamBase {
-		server.WriteErr(w, http.StatusBadRequest, "base %d plus %d pairs exceeds max %d", req.Base, len(req.Pairs), uint64(maxStreamBase))
+	if req.Base+uint64(len(req.Pairs)) > server.MaxStreamBase {
+		server.WriteErr(w, http.StatusBadRequest, "base %d plus %d pairs exceeds max %d", req.Base, len(req.Pairs), uint64(server.MaxStreamBase))
 		return http.StatusBadRequest, 0, 0
 	}
 	size := g.m.Size()
@@ -505,40 +481,22 @@ func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Re
 	if err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
-	// Rows stay nil for an empty batch: the daemon's scratch encoder
-	// emits {"paths":null} there, and null it must stay.
-	segments := g.info.PathFormat == "segments"
-	var rows [][]int
+	// The daemon's row renderer expands the spliced runs, so the JSON
+	// bytes are the daemon's own.
+	rows := server.AcquireHopRows()
+	defer rows.Release()
 	for range pairs {
 		sp, err := dec.NextLent()
 		if err != nil {
 			return g.writeFanoutErr(ctx, w, err), 0, 0
 		}
-		var row []int
-		if segments {
-			row = make([]int, 0, 1+2*len(sp.Segs))
-			row = append(row, int(sp.Start))
-			for _, sg := range sp.Segs {
-				row = append(row, int(sg.Dim), int(sg.Run))
-			}
-		} else {
-			p := sp.Expand(g.m)
-			row = make([]int, len(p))
-			for j, n := range p {
-				row[j] = int(n)
-			}
-		}
-		rows = append(rows, row)
+		rows.Append(g.m, sp)
 	}
 	if err := dec.Close(); err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
-	if segments {
-		server.WriteJSON(w, http.StatusOK, segBatchResponse{SegPaths: rows})
-	} else {
-		server.WriteJSON(w, http.StatusOK, batchResponse{Paths: rows})
-	}
-	return http.StatusOK, int64(len(rows)), edges
+	server.WriteJSON(w, http.StatusOK, server.BatchResponse{Paths: rows.Rows()})
+	return http.StatusOK, int64(len(pairs)), edges
 }
 
 // writeFanoutErr answers a fan-out failure that struck before
@@ -604,33 +562,20 @@ func (g *Gateway) healthyCount() int {
 	return n
 }
 
-// meshResponse mirrors the daemon's /v1/mesh shape; the gateway
-// answers with the cluster identity and its own (minimum) limits.
-type meshResponse struct {
-	Spec       serial.MeshSpec `json:"mesh"`
-	Seed       uint64          `json:"seed"`
-	Variant    string          `json:"variant"`
-	MaxBatch   int             `json:"maxBatch"`
-	PathFormat string          `json:"pathFormat"`
-	KSample    int             `json:"ksample"`
-	Formats    []string        `json:"formats"`
-	Features   []string        `json:"features,omitempty"`
-}
-
 func (g *Gateway) handleMesh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		server.WriteErr(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, meshResponse{
-		Spec:       g.info.Mesh,
-		Seed:       g.info.Seed,
-		Variant:    g.info.Variant,
-		MaxBatch:   g.maxBatch,
-		PathFormat: g.info.PathFormat,
-		KSample:    g.info.KSample,
-		Formats:    []string{"json", "wire2"},
-		Features:   []string{"batch-base"},
+	// The cluster identity with the gateway's own (minimum) limits.
+	server.WriteJSON(w, http.StatusOK, server.MeshResponse{
+		Spec:     g.info.Mesh,
+		Seed:     g.info.Seed,
+		Variant:  g.info.Variant,
+		MaxBatch: g.maxBatch,
+		KSample:  g.info.KSample,
+		Formats:  []string{"json", "wire2"},
+		Features: []string{"batch-base"},
 	})
 }
 

@@ -81,10 +81,10 @@ func postBatch(t *testing.T, baseURL, format string, body []byte) (int, []byte, 
 }
 
 // TestGatewayGoldenEquality is the tentpole pin: for every encoding,
-// JSON path format, sampling regime, seed and batch shape (64 pairs,
-// one pair, empty), a batch through the 3-way sharded gateway returns
-// the exact bytes one daemon returns for the same request. A retired
-// format (?format=wire) gets the daemon's status and body too.
+// sampling regime, seed and batch shape (64 pairs, one pair, empty), a
+// batch through the 3-way sharded gateway returns the exact bytes one
+// daemon returns for the same request. A retired format (?format=wire)
+// gets the daemon's status and body too.
 func TestGatewayGoldenEquality(t *testing.T) {
 	formats := []string{"json", "wire2"}
 	bodies := []struct {
@@ -119,40 +119,31 @@ func TestGatewayGoldenEquality(t *testing.T) {
 		}})
 		return startBackend(t, cfg).URL, g.URL
 	}
-	for _, pathFormat := range []string{"hops", "segments"} {
-		for _, k := range []int{1, 4} {
-			for _, seed := range []uint64{3, 17} {
-				name := fmt.Sprintf("k%d/seed%d", k, seed)
-				if pathFormat == "segments" {
-					if seed != 3 {
-						continue
-					}
-					name = fmt.Sprintf("segments/k%d", k)
-				}
-				t.Run(name, func(t *testing.T) {
-					if k == 1 {
-						// Pure oblivious selection ignores live load, so one
-						// cluster serves every format; BatchChunk 7 makes the
-						// shards straddle chunk boundaries on the backends.
-						ref, gw := cluster(t, server.Config{Seed: seed, BatchChunk: 7, PathFormat: pathFormat})
-						for _, bb := range bodies {
-							body := batchBody(t, bb.pairs, 0)
-							for _, format := range formats {
-								same(t, ref, gw, format, body, http.StatusOK)
-							}
-							same(t, ref, gw, "wire", body, http.StatusBadRequest)
+	for _, k := range []int{1, 4} {
+		for _, seed := range []uint64{3, 17} {
+			t.Run(fmt.Sprintf("k%d/seed%d", k, seed), func(t *testing.T) {
+				if k == 1 {
+					// Pure oblivious selection ignores live load, so one
+					// cluster serves every format; BatchChunk 7 makes the
+					// shards straddle chunk boundaries on the backends.
+					ref, gw := cluster(t, server.Config{Seed: seed, BatchChunk: 7})
+					for _, bb := range bodies {
+						body := batchBody(t, bb.pairs, 0)
+						for _, format := range formats {
+							same(t, ref, gw, format, body, http.StatusOK)
 						}
-						return
+						same(t, ref, gw, "wire", body, http.StatusBadRequest)
 					}
-					// Sampling regime: equality holds when every request lands
-					// on fresh replicas (all-zero congestion snapshots), so each
-					// format gets a brand-new reference and cluster.
-					for _, format := range formats {
-						ref, gw := cluster(t, server.Config{Seed: seed, KSample: k, PathFormat: pathFormat})
-						same(t, ref, gw, format, batchBody(t, testPairs(64, 37), 0), http.StatusOK)
-					}
-				})
-			}
+					return
+				}
+				// Sampling regime: equality holds when every request lands
+				// on fresh replicas (all-zero congestion snapshots), so each
+				// format gets a brand-new reference and cluster.
+				for _, format := range formats {
+					ref, gw := cluster(t, server.Config{Seed: seed, KSample: k})
+					same(t, ref, gw, format, batchBody(t, testPairs(64, 37), 0), http.StatusOK)
+				}
+			})
 		}
 	}
 }

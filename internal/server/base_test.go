@@ -43,7 +43,7 @@ func fetchPaths(t *testing.T, m *mesh.Mesh, url, format string, req BatchRequest
 	}
 	switch format {
 	case "json":
-		var br batchResponse
+		var br BatchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestBatchBaseTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{Seed: 1})
 	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
 		Pairs: [][2]int{{0, 1}},
-		Base:  maxStreamBase + 1,
+		Base:  MaxStreamBase + 1,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized base: status %d, body %s", resp.StatusCode, body)
@@ -188,7 +188,7 @@ func TestMeshEndpointAdvertisesBatchBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var mr meshResponse
+	var mr MeshResponse
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}

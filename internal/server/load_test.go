@@ -87,7 +87,7 @@ func runLoadLoopback(t *testing.T, chain string, ksample int) {
 					atomic.AddInt64(&clientErrs, 1)
 					continue
 				}
-				var rr routeResponse
+				var rr RouteResponse
 				if err := json.Unmarshal(body, &rr); err != nil {
 					atomic.AddInt64(&clientErrs, 1)
 					continue
@@ -114,7 +114,7 @@ func runLoadLoopback(t *testing.T, chain string, ksample int) {
 					atomic.AddInt64(&clientErrs, 1)
 					continue
 				}
-				var br batchResponse
+				var br BatchResponse
 				if err := json.Unmarshal(bbody, &br); err != nil {
 					atomic.AddInt64(&clientErrs, 1)
 					continue

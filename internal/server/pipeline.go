@@ -1,24 +1,26 @@
-// The pipelined wire2 serve path: selection and encoding of a batch
+// The batch serve path: selection and rendering of a /v1/batch request
 // overlap, with all per-chunk memory drawn from pools, so a
-// steady-state /v1/batch?format=wire2 request holds O(BatchChunk) live
-// bytes no matter how many pairs the batch carries.
+// steady-state request holds O(BatchChunk) live selection bytes no
+// matter how many pairs the batch carries.
 //
 // Stages (DESIGN.md §14):
 //
 //	select  one goroutine walks the chunks in order, leasing a pipeBuf
 //	        (chunk-sized SegPath slice + slab arena group) per chunk and
 //	        routing pairs[lo:hi] into it with the global stream ids;
-//	encode  the handler goroutine receives finished chunks in order,
-//	        frames them with the pooled OMP2 encoder, flushes, and
-//	        hands the pipeBuf back for reuse.
+//	sink    the handler goroutine receives finished chunks in order and
+//	        renders them before handing the pipeBuf back for reuse: the
+//	        wire2 sink frames them with the pooled OMP2 encoder and
+//	        flushes, the JSON sink expands them into pooled hop rows and
+//	        writes nothing until the batch is complete.
 //
 // Backpressure is the free list: exactly two pipeBufs circulate, so
-// selection runs at most one chunk ahead of the socket and a slow
+// selection runs at most one chunk ahead of the sink and a slow
 // client stalls routing instead of ballooning memory. Slab lifetime
 // rule: every SegPath in a pipeBuf aliases its arena group and dies at
 // the Reset that precedes the buffer's next lease — no SegPath escapes
-// its chunk (the live tracker books during selection; the encoder only
-// reads).
+// its chunk (the live tracker books during selection; the sinks only
+// read, and the JSON sink copies hops out).
 package server
 
 import (
@@ -39,7 +41,7 @@ type pipeBuf struct {
 }
 
 // chunkResult hands one selected chunk from the select stage to the
-// encode stage; the paths live in buf.sps[:hi-lo].
+// sink; the paths live in buf.sps[:hi-lo].
 type chunkResult struct {
 	buf    *pipeBuf
 	lo, hi int
@@ -57,23 +59,23 @@ func (s *Server) getPipeBuf() *pipeBuf {
 
 func (s *Server) putPipeBuf(b *pipeBuf) { s.pipe.Put(b) }
 
-// streamBatchSegWire is the wire2 batch path: chunks are selected and
-// encoded in order with the same streams as one whole-batch Select, so
-// the bytes equal serial.EncodeWireSeg of SelectAllSeg at the same
-// base; only the overlap and the memory source differ. A mid-stream
-// deadline truncates the response before the checksum trailer, so a
-// partial flush can never be mistaken for a complete stream.
-func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
-	w.Header().Set("Content-Type", serial.WireSegContentType)
-	w.WriteHeader(http.StatusOK)
-	enc, err := serial.AcquireWireSegEncoder(w, s.m, len(pairs))
-	if err != nil {
-		return http.StatusInternalServerError, 0, 0
-	}
-	defer enc.Release()
-	flusher, _ := w.(http.Flusher)
-	hooks := s.segLiveHooks()
-
+// selectBatch is the daemon's one batch loop. It routes pairs chunk by
+// chunk with streams base+i — the same paths as one whole-batch Select
+// at that base — booking every path in the live tracker during
+// selection, and calls sink on the handler goroutine with each chunk's
+// paths, in order. The paths die when sink returns.
+//
+// The request context is consulted at the top of every chunk, so a
+// request whose deadline passes mid-batch stops in bounded time; the
+// routes it returns then fall short of len(pairs). A sampling server
+// refreshes the request's snapshot per chunk, so selection is
+// deterministic within a chunk while later chunks see the load earlier
+// ones booked. The snapshot is allocated per request, not pooled: a
+// pooled EdgeSpace vector per concurrent batch stays resident.
+//
+// routes and edges count the paths sink accepted; err is the first
+// sink error, which also stops selection.
+func (s *Server) selectBatch(ctx context.Context, pairs []mesh.Pair, base uint64, sink func([]mesh.SegPath) error) (routes, edges int64, err error) {
 	// results is unbuffered — the handoff IS the pipeline boundary; the
 	// free list's depth of two is the entire look-ahead budget.
 	results := make(chan chunkResult)
@@ -84,17 +86,18 @@ func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, 
 
 	go func() {
 		defer close(results)
+		hooks := core.Hooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
+			s.live.AddSegPath(s.m, uint64(pkt), sp)
+		}}
+		var snap []int64
 		for lo := 0; lo < len(pairs); lo += s.cfg.BatchChunk {
 			if s.chunkHook != nil {
 				s.chunkHook(lo)
 			}
 			if ctx.Err() != nil {
-				return // fewer routes than pairs → 504, no trailer
+				return // fewer routes than pairs: the handler answers 504
 			}
-			hi := lo + s.cfg.BatchChunk
-			if hi > len(pairs) {
-				hi = len(pairs)
-			}
+			hi := min(lo+s.cfg.BatchChunk, len(pairs))
 			var buf *pipeBuf
 			select {
 			case buf = <-free:
@@ -102,7 +105,16 @@ func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, 
 				return
 			}
 			buf.arena.Reset() // reclaims the PREVIOUS tenant chunk's slabs
-			s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Arena: buf.arena, Segs: buf.sps[:hi-lo], Hooks: hooks})
+			req := core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Workers: s.cfg.BatchWorkers, Arena: buf.arena, Segs: buf.sps[:hi-lo], Hooks: hooks}
+			if s.cfg.KSample > 1 {
+				if snap == nil {
+					snap = make([]int64, s.m.EdgeSpace())
+				}
+				req.Snapshot = s.live.SnapshotInto(snap)
+			}
+			if _, ks := s.sel.Select(req); req.Snapshot != nil {
+				s.kc.add(ks)
+			}
 			select {
 			case results <- chunkResult{buf: buf, lo: lo, hi: hi}:
 			case <-stop:
@@ -112,20 +124,16 @@ func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, 
 		}
 	}()
 
-	encFailed := false
 	for res := range results {
-		if !encFailed {
-			for _, sp := range res.buf.sps[:res.hi-res.lo] {
-				if err := enc.Encode(sp); err != nil {
-					encFailed = true
-					close(stop) // selection of the next chunk is wasted work
-					break
+		if err == nil {
+			sps := res.buf.sps[:res.hi-res.lo]
+			if err = sink(sps); err != nil {
+				close(stop) // selection of the next chunk is wasted work
+			} else {
+				routes += int64(len(sps))
+				for _, sp := range sps {
+					edges += int64(sp.Len())
 				}
-				routes++
-				edges += int64(sp.Len())
-			}
-			if !encFailed && flusher != nil {
-				flusher.Flush()
 			}
 		}
 		free <- res.buf // cap 2, two bufs total: never blocks
@@ -135,8 +143,36 @@ func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, 
 	for buf := range free {
 		s.putPipeBuf(buf)
 	}
+	return routes, edges, err
+}
+
+// batchWire2 streams the batch as OMP2: the bytes equal
+// serial.EncodeWireSeg of SelectAllSeg at the same base, flushed chunk
+// by chunk. The 200 goes out before selection starts, so a mid-stream
+// deadline truncates the response before the checksum trailer, and a
+// partial flush can never be mistaken for a complete stream.
+func (s *Server) batchWire2(ctx context.Context, w http.ResponseWriter, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
+	w.Header().Set("Content-Type", serial.WireSegContentType)
+	w.WriteHeader(http.StatusOK)
+	enc, err := serial.AcquireWireSegEncoder(w, s.m, len(pairs))
+	if err != nil {
+		return http.StatusInternalServerError, 0, 0
+	}
+	defer enc.Release()
+	flusher, _ := w.(http.Flusher)
+	routes, edges, err = s.selectBatch(ctx, pairs, base, func(sps []mesh.SegPath) error {
+		for _, sp := range sps {
+			if err := enc.Encode(sp); err != nil {
+				return err
+			}
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	})
 	switch {
-	case encFailed:
+	case err != nil:
 		return http.StatusInternalServerError, routes, edges
 	case routes != int64(len(pairs)):
 		return http.StatusGatewayTimeout, routes, edges // truncated: no trailer
@@ -144,5 +180,26 @@ func (s *Server) streamBatchSegWire(ctx context.Context, w http.ResponseWriter, 
 	if err := enc.Close(); err != nil {
 		return http.StatusInternalServerError, routes, edges
 	}
+	return http.StatusOK, routes, edges
+}
+
+// batchJSON answers the batch as node-id rows, expanded from each
+// chunk's run-length paths as it arrives. Nothing is written until the
+// whole batch is selected, so a deadline that fires between chunks
+// answers the 504 error envelope, never a partial 200.
+func (s *Server) batchJSON(ctx context.Context, w http.ResponseWriter, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
+	rows := AcquireHopRows()
+	defer rows.Release()
+	routes, edges, _ = s.selectBatch(ctx, pairs, base, func(sps []mesh.SegPath) error {
+		for _, sp := range sps {
+			rows.Append(s.m, sp)
+		}
+		return nil
+	})
+	if routes != int64(len(pairs)) {
+		WriteErr(w, http.StatusGatewayTimeout, "deadline exceeded after %d of %d pairs", routes, len(pairs))
+		return http.StatusGatewayTimeout, 0, 0
+	}
+	WriteJSON(w, http.StatusOK, BatchResponse{Paths: rows.Rows()})
 	return http.StatusOK, routes, edges
 }

@@ -189,6 +189,31 @@ func TestPipelineDeadlineMidStream(t *testing.T) {
 	if st.Timeouts == 0 {
 		t.Fatalf("timeout not counted: %+v", st)
 	}
+
+	// JSON runs the same loop but holds its reply until the batch is
+	// complete, so the same deadline answers the 504 envelope with the
+	// pairs routed so far, never a partial 200.
+	srv, ts = newTestServer(t, Config{Seed: 6, BatchChunk: 1, RequestTimeout: 30 * time.Millisecond})
+	srv.chunkHook = func(lo int) {
+		if lo > 0 {
+			time.Sleep(60 * time.Millisecond)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Pairs: pairs})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("json status %d (expected 504): %s", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatalf("json 504 body is not the error envelope: %s", body)
+	}
+	var done, total int
+	if _, err := fmt.Sscanf(eb.Error, "deadline exceeded after %d of %d pairs", &done, &total); err != nil || total != len(pairs) || done >= total {
+		t.Fatalf("json 504 error %q", eb.Error)
+	}
+	if st := srv.Stats(); st.Timeouts == 0 {
+		t.Fatalf("json timeout not counted: %+v", st)
+	}
 }
 
 // TestPipelinePoolReuseSequential hammers one server with sequential
@@ -214,59 +239,110 @@ func TestPipelinePoolReuseSequential(t *testing.T) {
 	}
 }
 
-// TestJSONScratchRows pins the scratch carving: rows hold the right
-// values, don't bleed into each other, and marshal exactly like the
-// per-path allocations they replaced.
+// TestJSONScratchRows pins the row renderer: every appended run-length
+// path expands into its own row of node ids, rows don't bleed into
+// each other, and they marshal exactly like per-path allocations.
 func TestJSONScratchRows(t *testing.T) {
-	var sc jsonScratch
-	paths := []mesh.Path{{0, 1, 2}, {}, {5}}
-	rows := sc.hopRows(paths)
-	blob, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `[[0,1,2],[],[5]]`; string(blob) != want {
-		t.Fatalf("hopRows marshal %s, want %s", blob, want)
-	}
-
+	m := mesh.MustSquare(2, 8)
 	sps := []mesh.SegPath{
-		{Start: 7, Segs: []mesh.Seg{{Dim: 0, Run: 3}, {Dim: 1, Run: -2}}},
-		{Start: 4},
+		{Start: 0, Segs: []mesh.Seg{{Dim: 0, Run: 2}, {Dim: 1, Run: 1}}},
+		{Start: 5},
+		{Start: 63, Segs: []mesh.Seg{{Dim: 1, Run: -1}, {Dim: 0, Run: -2}}},
 	}
-	rows = sc.segRows(sps)
-	blob, err = json.Marshal(rows)
+	rows := AcquireHopRows()
+	defer rows.Release()
+	if got := rows.Rows(); got != nil {
+		t.Fatalf("empty renderer rows %v, want nil", got)
+	}
+	for _, sp := range sps {
+		rows.Append(m, sp)
+	}
+	blob, err := json.Marshal(rows.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `[[7,0,3,1,-2],[4]]`; string(blob) != want {
-		t.Fatalf("segRows marshal %s, want %s", blob, want)
+	if want := `[[0,1,2,10],[5],[63,55,54,53]]`; string(blob) != want {
+		t.Fatalf("rows marshal %s, want %s", blob, want)
+	}
+	for i, row := range rows.Rows() {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: cap %d > len %d, an append would bleed into row %d", i, cap(row), len(row), i+1)
+		}
 	}
 }
 
-// TestJSONScratchAllocs is the satellite's alloc-regression pin: once
-// warmed, shaping a batch response allocates nothing — the per-path
-// make([]int, ...) calls are gone.
+// TestJSONScratchAllocs is the renderer's alloc-regression pin: once
+// warmed, rendering a batch reply allocates nothing — no per-path
+// make([]int, ...) and no per-path hop expansion.
 func TestJSONScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	paths := make([]mesh.Path, 64)
+	m := mesh.MustSquare(2, 16)
 	sps := make([]mesh.SegPath, 64)
-	for i := range paths {
-		paths[i] = mesh.Path{mesh.NodeID(i), mesh.NodeID(i + 1), mesh.NodeID(i + 2)}
-		sps[i] = mesh.SegPath{Start: mesh.NodeID(i), Segs: []mesh.Seg{{Dim: 0, Run: 2}}}
+	for i := range sps {
+		sps[i] = mesh.SegPath{Start: mesh.NodeID(i % 8), Segs: []mesh.Seg{{Dim: 0, Run: 2}, {Dim: 1, Run: 3}}}
 	}
-	var sc jsonScratch
-	sc.hopRows(paths)
-	sc.segRows(sps)
-	sc.intsFor(128)
-	if n := testing.AllocsPerRun(20, func() { sc.hopRows(paths) }); n != 0 {
-		t.Fatalf("warm hopRows allocates %.1f per run", n)
+	render := func() {
+		rows := AcquireHopRows()
+		for _, sp := range sps {
+			rows.Append(m, sp)
+		}
+		rows.Rows()
+		rows.Release()
 	}
-	if n := testing.AllocsPerRun(20, func() { sc.segRows(sps) }); n != 0 {
-		t.Fatalf("warm segRows allocates %.1f per run", n)
+	render()
+	if n := testing.AllocsPerRun(20, render); n != 0 {
+		t.Fatalf("warm rendering allocates %.1f per run", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { sc.intsFor(128) }); n != 0 {
-		t.Fatalf("warm intsFor allocates %.1f per run", n)
+}
+
+// TestBatchJSONMatchesWire2 pins the one batch loop: the JSON reply is
+// byte for byte the hop expansion of the same batch's wire2 reply, with
+// BatchChunk 7 so batches straddle chunk boundaries. At k=1 one server
+// answers both formats; at k=4 selection depends on the load earlier
+// requests booked, so each format gets a fresh server.
+func TestBatchJSONMatchesWire2(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			cfg := Config{Seed: 5, KSample: k, BatchChunk: 7}
+			wireSrv, wireTS := newTestServer(t, cfg)
+			jsonTS := wireTS
+			if k > 1 {
+				_, jsonTS = newTestServer(t, cfg)
+			}
+			m := wireSrv.Mesh()
+			for _, n := range []int{0, 100} {
+				pairs := testBatchPairs(m, n)
+				code, body := postWire2(t, wireTS.URL, pairs)
+				if code != http.StatusOK {
+					t.Fatalf("%d pairs: wire2 status %d", n, code)
+				}
+				sps, err := serial.DecodeWireSeg(bytes.NewReader(body), m, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want BatchResponse
+				for _, sp := range sps {
+					p := sp.Expand(m)
+					row := make([]int, len(p))
+					for i, v := range p {
+						row[i] = int(v)
+					}
+					want.Paths = append(want.Paths, row)
+				}
+				wantBlob, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, got := postJSON(t, jsonTS.URL+"/v1/batch", BatchRequest{Pairs: pairs})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%d pairs: json status %d: %s", n, resp.StatusCode, got)
+				}
+				if !bytes.Equal(got, append(wantBlob, '\n')) {
+					t.Fatalf("%d pairs: json reply differs from the wire2 reply's expansion:\n got %.200s\nwant %.200s", n, got, wantBlob)
+				}
+			}
+		})
 	}
 }

@@ -2,31 +2,61 @@ package server
 
 import (
 	"io"
+	"sync"
 
 	"obliviousmesh/internal/mesh"
 )
 
-// jsonScratch is the per-request reusable backing of the JSON response
-// shapes: one flat []int holds every row's integers (carved with
-// three-index slices, so rows can't bleed into each other) and one
-// [][]int holds the row headers. Pooled per Server; a request releases
-// its scratch only after WriteJSON has fully encoded the response, so
-// nothing the encoder read is ever recycled early. This removes the
-// per-path make([]int, ...) from the JSON batch, seg-batch, and route
-// handlers — after warm-up the response shaping allocates nothing.
-type jsonScratch struct {
-	ints []int
+// HopRows renders run-length paths as the node-id rows of the JSON
+// /v1/batch and /v1/route replies — the one row renderer of the daemon
+// and the gateway. Every row's ids live back to back in one flat
+// []int, and Rows carves them with three-index slices, so rows cannot
+// bleed into each other. Pooled: after warm-up, rendering a reply
+// allocates nothing. A handler releases its HopRows only after
+// WriteJSON has encoded the rows.
+type HopRows struct {
+	hops mesh.Path // expansion scratch of the path being appended
+	ints []int     // every row's node ids, back to back
+	ends []int     // ends[i] is where row i stops in ints
 	rows [][]int
 }
 
-func (s *Server) getJSONScratch() *jsonScratch {
-	if sc, ok := s.jsonPool.Get().(*jsonScratch); ok {
-		return sc
-	}
-	return &jsonScratch{}
+var hopRowsPool = sync.Pool{New: func() any { return new(HopRows) }}
+
+// AcquireHopRows returns an empty pooled HopRows; Release returns it.
+func AcquireHopRows() *HopRows {
+	r := hopRowsPool.Get().(*HopRows)
+	r.ints, r.ends = r.ints[:0], r.ends[:0]
+	return r
 }
 
-func (s *Server) putJSONScratch(sc *jsonScratch) { s.jsonPool.Put(sc) }
+// Release hands r back to the pool; its rows are dead afterwards.
+func (r *HopRows) Release() { hopRowsPool.Put(r) }
+
+// Append expands sp's hops on m into the next row.
+func (r *HopRows) Append(m *mesh.Mesh, sp mesh.SegPath) {
+	r.hops = sp.AppendExpand(m, r.hops[:0])
+	for _, n := range r.hops {
+		r.ints = append(r.ints, int(n))
+	}
+	r.ends = append(r.ends, len(r.ints))
+}
+
+// Rows returns the appended rows in order, valid until Release. With
+// no rows it returns nil, so an empty batch encodes {"paths":null}
+// whatever capacity the pool holds.
+func (r *HopRows) Rows() [][]int {
+	if len(r.ends) == 0 {
+		return nil
+	}
+	r.rows = r.rows[:0]
+	lo := 0
+	for _, hi := range r.ends {
+		r.rows = append(r.rows, r.ints[lo:hi:hi])
+		lo = hi
+	}
+	return r.rows
+}
 
 // getLoadSnap returns a pooled EdgeSpace-long buffer for a k-sample
 // load snapshot; putLoadSnap returns it once scoring is done.
@@ -40,63 +70,13 @@ func (s *Server) getLoadSnap() *[]int64 {
 
 func (s *Server) putLoadSnap(b *[]int64) { s.snapPool.Put(b) }
 
-// grow readies the flat backing for total ints and the header slice
-// for n rows, reusing capacity.
-func (sc *jsonScratch) grow(total, n int) {
-	if cap(sc.ints) < total {
-		sc.ints = make([]int, 0, total)
-	}
-	sc.ints = sc.ints[:0]
-	if cap(sc.rows) < n {
-		sc.rows = make([][]int, 0, n)
-	}
-	sc.rows = sc.rows[:0]
-}
-
-// row carves the next k-int row out of the flat backing.
-func (sc *jsonScratch) row(k int) []int {
-	off := len(sc.ints)
-	sc.ints = sc.ints[:off+k]
-	return sc.ints[off : off : off+k]
-}
-
-// intsFor returns a reused length-n []int (for the single-route
-// response, which fills by index).
-func (sc *jsonScratch) intsFor(n int) []int {
-	if cap(sc.ints) < n {
-		sc.ints = make([]int, n)
-	}
-	return sc.ints[:n]
-}
-
-// hopRows shapes hop paths into JSON node-id rows, all backed by the
-// scratch. Rows are valid until the scratch is released.
-func (sc *jsonScratch) hopRows(paths []mesh.Path) [][]int {
-	if len(paths) == 0 {
-		return nil // {"paths":null}, whatever capacity the pool holds
-	}
-	total := 0
-	for _, p := range paths {
-		total += len(p)
-	}
-	sc.grow(total, len(paths))
-	for _, p := range paths {
-		row := sc.row(len(p))
-		for _, n := range p {
-			row = append(row, int(n))
-		}
-		sc.rows = append(sc.rows, row)
-	}
-	return sc.rows
-}
-
-// batchScratch is the request-side counterpart of jsonScratch: the raw
+// batchScratch is the request-side counterpart of HopRows: the raw
 // body bytes, the decoded PairList (its parser reuses the capacity),
 // and the validated []mesh.Pair all live in one pooled
 // bundle, so a steady stream of equal-sized batches parses with zero
-// slice growth. Safe to recycle when doBatch returns: even the
-// pipelined wire2 path joins its selection goroutine (the results
-// channel closes) before returning, so nothing references the pairs
+// slice growth. Safe to recycle when doBatch returns: the batch loop
+// joins its selection goroutine (the results channel closes) before
+// returning, so nothing references the pairs
 // afterwards.
 type batchScratch struct {
 	body  []byte
@@ -138,26 +118,4 @@ func (bs *batchScratch) pairsFor(n int) []mesh.Pair {
 		bs.pairs = make([]mesh.Pair, n)
 	}
 	return bs.pairs[:n]
-}
-
-// segRows shapes run-length paths into the flat
-// [start, dim0, run0, ...] JSON records, all backed by the scratch.
-func (sc *jsonScratch) segRows(sps []mesh.SegPath) [][]int {
-	if len(sps) == 0 {
-		return nil
-	}
-	total := 0
-	for _, sp := range sps {
-		total += 1 + 2*len(sp.Segs)
-	}
-	sc.grow(total, len(sps))
-	for _, sp := range sps {
-		row := sc.row(1 + 2*len(sp.Segs))
-		row = append(row, int(sp.Start))
-		for _, sg := range sp.Segs {
-			row = append(row, int(sg.Dim), int(sg.Run))
-		}
-		sc.rows = append(sc.rows, row)
-	}
-	return sc.rows
 }

@@ -11,8 +11,12 @@
 // production behavior: bounded-queue admission control that sheds load
 // with 429 instead of queueing unboundedly, per-request deadlines
 // propagated through context, live observability (/metrics exposes
-// the LiveLoads hot edges, chain-cache health and request counters),
-// and graceful drain for SIGTERM rollouts.
+// the LiveLoads hot edges, the routing-table footprint, k-sample stats
+// and request counters), and graceful drain for SIGTERM rollouts.
+//
+// Every reply is rendered from the engine's run-length paths: a batch
+// is selected chunk by chunk in one pipeline (pipeline.go) whose sink
+// either streams the chunk as OMP2 or expands it into JSON node rows.
 //
 // Endpoints:
 //
@@ -57,12 +61,6 @@ type Config struct {
 	// on /metrics) or "none" (recompute per packet). Both serve
 	// byte-identical paths.
 	ChainSource string
-	// PathFormat selects the JSON representation of selected paths:
-	// "hops" (the default) answers /v1/batch with node-id arrays,
-	// "segments" with flat run-length records [start, dim0, run0, ...].
-	// The binary wire2 format is unaffected — it is chosen per
-	// request.
-	PathFormat string
 	// KSample is the semi-oblivious candidate count: each packet draws
 	// KSample independent algorithm-H candidates and commits the one
 	// least loaded under a live-congestion snapshot. 0 and 1 (the
@@ -100,13 +98,6 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.Mesh == nil {
 		return errors.New("server: Config.Mesh is required")
-	}
-	switch c.PathFormat {
-	case "":
-		c.PathFormat = "hops"
-	case "hops", "segments":
-	default:
-		return fmt.Errorf(`server: Config.PathFormat must be "hops" or "segments" (got %q)`, c.PathFormat)
 	}
 	if _, err := core.ParseChainSource(c.ChainSource); err != nil {
 		return fmt.Errorf("server: Config.ChainSource: %w", err)
@@ -155,21 +146,20 @@ type Server struct {
 	started  time.Time
 
 	// chunkHook, when set (tests only, before serving), runs at the
-	// top of every JSON batch chunk with the chunk's start index.
+	// top of every batch chunk, in either format, with the chunk's
+	// start index.
 	chunkHook func(lo int)
 
 	routeC metrics.ServerCounters
 	batchC metrics.ServerCounters
 	kc     ksampleCounters
 
-	// pipe pools the wire2 pipeline's chunk buffers (*pipeBuf);
-	// jsonPool pools the JSON response scratch (*jsonScratch); reqPool
-	// pools the batch request parse scratch (*batchScratch); snapPool
-	// pools the k-sample /v1/route load snapshots (*[]int64 of
-	// EdgeSpace). Together they make sequential requests
-	// allocation-free at steady state.
+	// pipe pools the batch pipeline's chunk buffers (*pipeBuf);
+	// reqPool pools the batch request parse scratch (*batchScratch);
+	// snapPool pools the k-sample /v1/route load snapshots (*[]int64 of
+	// EdgeSpace). With the package's HopRows pool they make sequential
+	// requests allocation-free at steady state.
 	pipe     sync.Pool
-	jsonPool sync.Pool
 	reqPool  sync.Pool
 	snapPool sync.Pool
 }
@@ -307,10 +297,11 @@ type routeRequest struct {
 	T int `json:"t"`
 }
 
-// routeResponse is the /v1/route reply. Stream is the randomness
-// stream the path was drawn with: replaying (seed, stream, s, t)
-// against the same topology reproduces the path exactly.
-type routeResponse struct {
+// RouteResponse is the /v1/route reply of the daemon and the gateway.
+// Stream is the randomness stream the path was drawn with: replaying
+// (seed, stream, s, t) against the same topology reproduces the path
+// exactly.
+type RouteResponse struct {
 	Stream uint64 `json:"stream"`
 	Path   []int  `json:"path"`
 }
@@ -320,7 +311,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	ctx, cancel := contextWithTimeout(r, s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	if !s.admitOrShed(ctx, w, &s.routeC) {
 		return
@@ -344,81 +335,41 @@ func (s *Server) doRoute(w http.ResponseWriter, r *http.Request) (code int, rout
 		return http.StatusBadRequest, 0, 0
 	}
 	stream := atomic.AddUint64(&s.streams, 1) - 1
-	var p mesh.Path
+	// A sampling server scores the candidates against the tracker as it
+	// stands right now; the snapshot buffer is pooled, as one EdgeSpace
+	// vector per request would be 16 MiB at side 1024. At k ≤ 1 the
+	// snapshot stays nil and KSegPath is exactly SegPath.
+	var buf *[]int64
+	var snap []int64
 	if s.cfg.KSample > 1 {
-		// Semi-oblivious single route: score the candidates against the
-		// tracker as it stands right now, commit, book the winner.
-		// The snapshot buffer is pooled: one EdgeSpace vector per
-		// request would be 16 MiB at side 1024.
-		buf := s.getLoadSnap()
-		sp, _, ks := s.sel.KSegPath(mesh.NodeID(req.S), mesh.NodeID(req.T), stream, s.live.SnapshotInto(*buf))
+		buf = s.getLoadSnap()
+		snap = s.live.SnapshotInto(*buf)
+	}
+	sp, _, ks := s.sel.KSegPath(mesh.NodeID(req.S), mesh.NodeID(req.T), stream, snap)
+	if buf != nil {
 		s.putLoadSnap(buf)
 		s.kc.add(ks)
-		s.live.AddSegPath(s.m, stream, sp)
-		p = sp.Expand(s.m)
-	} else {
-		p = s.sel.Path(mesh.NodeID(req.S), mesh.NodeID(req.T), stream)
-		s.live.AddPath(s.m, stream, p)
 	}
-	sc := s.getJSONScratch()
-	resp := routeResponse{Stream: stream, Path: sc.intsFor(len(p))}
-	for i, n := range p {
-		resp.Path[i] = int(n)
-	}
-	WriteJSON(w, http.StatusOK, resp)
-	s.putJSONScratch(sc)
-	return http.StatusOK, 1, int64(p.Len())
+	s.live.AddSegPath(s.m, stream, sp)
+	rows := AcquireHopRows()
+	rows.Append(s.m, sp)
+	WriteJSON(w, http.StatusOK, RouteResponse{Stream: stream, Path: rows.Rows()[0]})
+	rows.Release()
+	return http.StatusOK, 1, int64(sp.Len())
 }
 
-// kreq is the per-request state of a k>1 batch: the congestion
-// snapshot candidates are scored against, refreshed at the top of
-// every chunk, so selection is deterministic within a chunk while
-// later chunks see the load earlier chunks booked. A k<=1 server
-// routes with kreq nil and plain algorithm H.
-type kreq struct {
-	snap []int64
-}
-
-// newKreq returns the k-sample request state, nil when the server
-// serves pure algorithm H.
-func (s *Server) newKreq() *kreq {
-	if s.cfg.KSample <= 1 {
-		return nil
-	}
-	return &kreq{}
-}
-
-// selectChunk routes one chunk of a batch, req.Pairs with streams from
-// req.Base, into whichever output req sets, across the configured
-// batch workers. A sampling server first refreshes the request's
-// snapshot, so the chunk scores against exactly the load earlier
-// chunks booked, and folds the sampling stats into the /metrics
-// counters.
-func (s *Server) selectChunk(kq *kreq, req core.Request) {
-	req.Workers = s.cfg.BatchWorkers
-	if kq == nil {
-		s.sel.Select(req)
-		return
-	}
-	if kq.snap == nil {
-		kq.snap = make([]int64, s.m.EdgeSpace())
-	}
-	req.Snapshot = s.live.SnapshotInto(kq.snap)
-	_, ks := s.sel.Select(req)
-	s.kc.add(ks)
-}
-
-// maxStreamBase caps the "base" field of a batch request. It keeps
+// MaxStreamBase caps the "base" field of a batch request. It keeps
 // base + MaxBatch far below the 1<<48 bit the k-sample candidate
 // streams flip (KSampleStream XORs j<<48), so a shard's candidate
 // draws can never collide with another shard's primary streams.
-const maxStreamBase = 1 << 40
+const MaxStreamBase = 1 << 40
 
-// batchResponse is the JSON /v1/batch reply. Path i belongs to pair i
-// and was drawn with stream i: a batch is a pure function of
-// (seed, pairs), so identical batches give identical paths — the
-// reproducibility contract of the oblivious service.
-type batchResponse struct {
+// BatchResponse is the JSON /v1/batch reply of the daemon and the
+// gateway. Path i belongs to pair i and was drawn with stream
+// base+i: a batch is a pure function of (seed, base, pairs), so
+// identical batches give identical paths — the reproducibility
+// contract of the oblivious service.
+type BatchResponse struct {
 	Paths [][]int `json:"paths"`
 }
 
@@ -427,7 +378,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	ctx, cancel := contextWithTimeout(r, s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	if !s.admitOrShed(ctx, w, &s.batchC) {
 		return
@@ -459,11 +410,10 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 		WriteErr(w, http.StatusRequestEntityTooLarge, "%d pairs exceeds max batch %d", len(req.Pairs), s.cfg.MaxBatch)
 		return http.StatusRequestEntityTooLarge, 0, 0
 	}
-	if req.Base > maxStreamBase {
-		WriteErr(w, http.StatusBadRequest, "base %d exceeds max %d", req.Base, uint64(maxStreamBase))
+	if req.Base > MaxStreamBase {
+		WriteErr(w, http.StatusBadRequest, "base %d exceeds max %d", req.Base, uint64(MaxStreamBase))
 		return http.StatusBadRequest, 0, 0
 	}
-	base := req.Base
 	size := s.m.Size()
 	pairs := bs.pairsFor(len(req.Pairs))
 	for i, pr := range req.Pairs {
@@ -480,93 +430,10 @@ func (s *Server) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Req
 		return http.StatusBadRequest, 0, 0
 	}
 
-	kq := s.newKreq()
 	if format == "wire2" {
-		return s.streamBatchSegWire(ctx, w, kq, pairs, base)
+		return s.batchWire2(ctx, w, pairs, req.Base)
 	}
-	if format == "json" && s.cfg.PathFormat == "segments" {
-		return s.jsonBatchSeg(ctx, w, kq, pairs, base)
-	}
-
-	// Fused routing+accounting: every path lands in the live tracker
-	// run by run while the batch is being selected (the packet's stream
-	// spreads writers across counter shards).
-	hooks := core.Hooks{Path: func(pkt int, _ mesh.Pair, p mesh.Path, _ core.Stats) {
-		s.live.AddPath(s.m, uint64(pkt), p)
-	}}
-	paths := make([]mesh.Path, len(pairs))
-
-	// Deadline-checked slices: the context is consulted every
-	// BatchChunk pairs, so a request whose deadline passes mid-batch
-	// fails in bounded time instead of routing to completion. Chunking
-	// does not change the paths (stream ids are batch indexes).
-	for lo := 0; lo < len(pairs); lo += s.cfg.BatchChunk {
-		if s.chunkHook != nil {
-			s.chunkHook(lo)
-		}
-		if err := ctx.Err(); err != nil {
-			WriteErr(w, http.StatusGatewayTimeout, "deadline exceeded after %d of %d pairs", lo, len(pairs))
-			return http.StatusGatewayTimeout, 0, 0
-		}
-		hi := lo + s.cfg.BatchChunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Paths: paths[lo:hi], Hooks: hooks})
-	}
-	for _, p := range paths {
-		edges += int64(p.Len())
-	}
-	sc := s.getJSONScratch()
-	WriteJSON(w, http.StatusOK, batchResponse{Paths: sc.hopRows(paths)})
-	s.putJSONScratch(sc)
-	return http.StatusOK, int64(len(paths)), edges
-}
-
-// segLiveHooks is the accounting hook of the segment engines: every
-// routed path lands in the live tracker run by run (the packet's stream
-// spreads writers across counter shards), the segment counterpart of
-// the per-path hook of the hop engines.
-func (s *Server) segLiveHooks() core.Hooks {
-	return core.Hooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
-		s.live.AddSegPath(s.m, uint64(pkt), sp)
-	}}
-}
-
-// segBatchResponse is the JSON /v1/batch reply of a PathFormat
-// "segments" server: entry i is the flat run-length record
-// [start, dim0, run0, dim1, run1, ...] of pair i's path.
-type segBatchResponse struct {
-	SegPaths [][]int `json:"segpaths"`
-}
-
-// jsonBatchSeg routes the batch with the segment-native engine and
-// answers with flat run-length records — the deadline-checked chunking
-// of the hop JSON path, minus the per-hop expansion.
-func (s *Server) jsonBatchSeg(ctx context.Context, w http.ResponseWriter, kq *kreq, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
-	sps := make([]mesh.SegPath, len(pairs))
-	hooks := s.segLiveHooks()
-	for lo := 0; lo < len(pairs); lo += s.cfg.BatchChunk {
-		if s.chunkHook != nil {
-			s.chunkHook(lo)
-		}
-		if err := ctx.Err(); err != nil {
-			WriteErr(w, http.StatusGatewayTimeout, "deadline exceeded after %d of %d pairs", lo, len(pairs))
-			return http.StatusGatewayTimeout, 0, 0
-		}
-		hi := lo + s.cfg.BatchChunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		s.selectChunk(kq, core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Segs: sps[lo:hi], Hooks: hooks})
-	}
-	for _, sp := range sps {
-		edges += int64(sp.Len())
-	}
-	sc := s.getJSONScratch()
-	WriteJSON(w, http.StatusOK, segBatchResponse{SegPaths: sc.segRows(sps)})
-	s.putJSONScratch(sc)
-	return http.StatusOK, int64(len(sps)), edges
+	return s.batchJSON(ctx, w, pairs, req.Base)
 }
 
 // NegotiateBatchFormat resolves the response encoding of a /v1/batch
@@ -591,15 +458,15 @@ func NegotiateBatchFormat(r *http.Request) (format string, ok bool) {
 	return format, false
 }
 
-// meshResponse describes the served topology and limits, everything a
-// typed client needs to validate pairs and decode the wire format.
-type meshResponse struct {
+// MeshResponse describes the served topology and limits, everything a
+// typed client needs to validate pairs and decode the wire format. The
+// gateway answers /v1/mesh with it too, carrying the cluster identity
+// and its own (minimum) limits.
+type MeshResponse struct {
 	Spec     serial.MeshSpec `json:"mesh"`
 	Seed     uint64          `json:"seed"`
 	Variant  string          `json:"variant"`
 	MaxBatch int             `json:"maxBatch"`
-	// PathFormat is the configured JSON path representation.
-	PathFormat string `json:"pathFormat"`
 	// KSample is the semi-oblivious candidate count; 1 means pure
 	// algorithm H and full replica reproducibility.
 	KSample int `json:"ksample"`
@@ -621,15 +488,14 @@ func (s *Server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	if s.sel.Options().Variant == core.Variant2D {
 		variant = "2d"
 	}
-	WriteJSON(w, http.StatusOK, meshResponse{
-		Spec:       serial.Spec(s.m),
-		Seed:       s.cfg.Seed,
-		Variant:    variant,
-		MaxBatch:   s.cfg.MaxBatch,
-		PathFormat: s.cfg.PathFormat,
-		KSample:    s.cfg.KSample,
-		Formats:    []string{"json", "wire2"},
-		Features:   []string{"batch-base"},
+	WriteJSON(w, http.StatusOK, MeshResponse{
+		Spec:     serial.Spec(s.m),
+		Seed:     s.cfg.Seed,
+		Variant:  variant,
+		MaxBatch: s.cfg.MaxBatch,
+		KSample:  s.cfg.KSample,
+		Formats:  []string{"json", "wire2"},
+		Features: []string{"batch-base"},
 	})
 }
 
@@ -643,12 +509,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-// contextWithTimeout derives the request's working context: the
-// configured per-request deadline on top of whatever cancellation the
-// client connection already carries, so deadlines propagate into the
-// selection loop via context.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
 }

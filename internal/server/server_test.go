@@ -58,7 +58,7 @@ func TestRouteEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var rr routeResponse
+	var rr RouteResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRouteEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp2.StatusCode)
 	}
-	var rr2 routeResponse
+	var rr2 RouteResponse
 	if err := json.Unmarshal(body2, &rr2); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBatchEndpointJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var br batchResponse
+	var br BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestMeshEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var mr meshResponse
+	var mr MeshResponse
 	if err := json.Unmarshal(body, &mr); err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
-	"obliviousmesh/internal/mesh"
 	"obliviousmesh/internal/serial"
 )
 
@@ -51,7 +51,7 @@ func TestBatchEndpointWire2(t *testing.T) {
 	if respJ.StatusCode != http.StatusOK {
 		t.Fatalf("json status %d", respJ.StatusCode)
 	}
-	var br batchResponse
+	var br BatchResponse
 	if err := json.Unmarshal(bodyJ, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -83,47 +83,6 @@ func TestBatchEndpointWire2(t *testing.T) {
 	}
 }
 
-func TestBatchEndpointSegmentsJSON(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 4, PathFormat: "segments", BatchChunk: 3})
-	m := srv.Mesh()
-	req := BatchRequest{Pairs: [][2]int{{0, 63}, {5, 5}, {17, 40}}}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sr segBatchResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.SegPaths) != len(req.Pairs) {
-		t.Fatalf("%d segpaths for %d pairs", len(sr.SegPaths), len(req.Pairs))
-	}
-	// Flat records [start, dim0, run0, ...] rebuild into walks from the
-	// requested sources to the requested targets.
-	for i, rec := range sr.SegPaths {
-		if len(rec) == 0 || len(rec)%2 != 1 {
-			t.Fatalf("segpath %d: malformed record %v", i, rec)
-		}
-		sp := mesh.SegPath{Start: mesh.NodeID(rec[0])}
-		for k := 1; k < len(rec); k += 2 {
-			sp.Segs = append(sp.Segs, mesh.Seg{Dim: int32(rec[k]), Run: int32(rec[k+1])})
-		}
-		if err := m.ValidateSeg(sp, mesh.NodeID(req.Pairs[i][0]), mesh.NodeID(req.Pairs[i][1])); err != nil {
-			t.Fatalf("segpath %d: %v", i, err)
-		}
-	}
-	// The wire format stays per-request regardless of PathFormat.
-	blob, _ := json.Marshal(req)
-	wresp, err := http.Post(ts.URL+"/v1/batch?format=wire2", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wresp.Body.Close()
-	if _, err := serial.DecodeWireSeg(wresp.Body, m, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBatchUnknownFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	blob, _ := json.Marshal(BatchRequest{Pairs: [][2]int{{0, 1}}})
@@ -137,27 +96,25 @@ func TestBatchUnknownFormat(t *testing.T) {
 	}
 }
 
-func TestConfigPathFormatValidation(t *testing.T) {
-	_, err := New(Config{Mesh: mesh.MustSquare(2, 4), PathFormat: "runs"})
-	if err == nil {
-		t.Fatal("bad PathFormat accepted")
-	}
-}
-
 func TestMeshEndpointAdvertisesFormats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/mesh")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mr meshResponse
-	err = json.NewDecoder(resp.Body).Decode(&mr)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr.PathFormat != "hops" {
-		t.Fatalf("default PathFormat %q", mr.PathFormat)
+	// The JSON reply has one representation, so there is no
+	// pathFormat to advertise.
+	if bytes.Contains(body, []byte("pathFormat")) {
+		t.Fatalf("/v1/mesh still advertises pathFormat: %s", body)
+	}
+	var mr MeshResponse
+	if err := json.Unmarshal(body, &mr); err != nil {
+		t.Fatal(err)
 	}
 	if got := strings.Join(mr.Formats, ","); got != "json,wire2" {
 		t.Fatalf("advertised formats %v, want [json wire2]", mr.Formats)
