@@ -42,9 +42,9 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 # (WireSeg, per path on a recorded side-256 batch), the loopback
 # ServerBatch, handler-level ServerBatchPipeline, and gateway-level
 # GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
-# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..21.json)
+# custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..23.json)
 # form the trajectory.
-BENCH_JSON ?= BENCH_PR23.json
+BENCH_JSON ?= BENCH_PR25.json
 
 build:
 	$(GO) build ./...

@@ -16,9 +16,9 @@
 //	         [-splice-depth 4] [-drain-timeout 30s]
 //
 // At startup every backend's /v1/mesh identity is checked: topology,
-// seed, variant, path format and ksample must agree, and each member
-// must speak wire2 and the batch-base sharding extension — a
-// mismatched fleet is a startup error, never silently wrong bytes.
+// seed, variant and ksample must agree, and each member must speak
+// wire2 and the batch-base sharding extension — a mismatched fleet is
+// a startup error, never silently wrong bytes.
 // The advertised batch cap is the cluster minimum, so any shard can
 // re-fan whole onto a lone survivor.
 //
@@ -39,8 +39,10 @@
 // spliced stream once every shard is in, so a failure still gets its
 // error status.
 //
-// The daemon prints "listening on http://<host:port>" once bound and
-// drains on SIGINT/SIGTERM exactly like meshrouted.
+// The gateway serves the same HTTP front as meshrouted, with the
+// fan-out in place of the selector. It prints "listening on
+// http://<host:port>" once bound and drains on SIGINT/SIGTERM through
+// the same serve-and-drain sequence as meshrouted.
 package main
 
 import (
@@ -50,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -187,33 +188,12 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := cli.NewHTTPServer(g.Handler())
 	fmt.Fprintf(stdout, "meshgate: %v via %d backends, max batch %d, listening on http://%s\n",
 		g.Mesh(), len(backendList(cfg.backends)), g.MaxBatch(), ln.Addr())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err // listener failed before any shutdown was requested
-	case <-ctx.Done():
-	}
-
-	// Same drain sequence as the daemon: flip /healthz to 503 so load
-	// balancers stop sending, shed new work, let in-flight fan-outs
-	// finish bounded by -drain-timeout.
-	g.Drain()
-	fmt.Fprintf(stdout, "meshgate: draining\n")
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	err = hs.Shutdown(sctx)
-	if errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("drain timed out after %v with requests still in flight", cfg.drainTimeout)
-	}
-	if serr := <-serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-		err = serr
-	}
+	err = cli.ServeAndDrain(ctx, ln, g.Handler(), cfg.drainTimeout, func() {
+		g.Drain()
+		fmt.Fprintf(stdout, "meshgate: draining\n")
+	})
 	if err == nil {
 		fmt.Fprintf(stdout, "meshgate: drained cleanly\n")
 	}

@@ -42,7 +42,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -154,8 +153,8 @@ func validate(cfg config) error {
 }
 
 // serve binds the listener, announces the resolved address, serves
-// until ctx ends, then runs the drain sequence: shed new traffic,
-// let in-flight requests finish, shut the listener down.
+// until ctx ends, then runs the shared drain sequence: shed new
+// traffic, let in-flight requests finish, shut the listener down.
 func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 	m, err := cli.BuildMesh(cfg.d, cfg.side, cfg.torus)
 	if err != nil {
@@ -196,33 +195,12 @@ func serve(ctx context.Context, cfg config, stdout io.Writer) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	hs := cli.NewHTTPServer(handler)
 	fmt.Fprintf(stdout, "meshrouted: %v seed=%d listening on http://%s\n",
 		m, cfg.seed, ln.Addr())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err // listener failed before any shutdown was requested
-	case <-ctx.Done():
-	}
-
-	// Drain sequence (DESIGN.md §10): flip the draining flag first so
-	// /healthz turns 503 and load balancers stop sending traffic, then
-	// give in-flight requests up to drain-timeout to complete.
-	srv.Drain()
-	fmt.Fprintf(stdout, "meshrouted: draining (in flight: %d)\n", srv.Stats().InFlight())
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	err = hs.Shutdown(sctx)
-	if errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("drain timed out after %v with requests still in flight", cfg.drainTimeout)
-	}
-	if serr := <-serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-		err = serr
-	}
+	err = cli.ServeAndDrain(ctx, ln, handler, cfg.drainTimeout, func() {
+		srv.Drain()
+		fmt.Fprintf(stdout, "meshrouted: draining (in flight: %d)\n", srv.Stats().InFlight())
+	})
 	if err == nil {
 		st := srv.Stats()
 		fmt.Fprintf(stdout, "meshrouted: drained cleanly (%d requests served, %d routes, %d shed)\n",

@@ -1,6 +1,10 @@
 package cli
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"time"
 )
@@ -29,4 +33,35 @@ func NewHTTPServer(h http.Handler) *http.Server {
 		IdleTimeout:       IdleTimeout,
 		MaxHeaderBytes:    MaxHeaderBytes,
 	}
+}
+
+// ServeAndDrain is the serve-and-drain sequence of meshrouted and
+// meshgate (DESIGN.md §10). It serves h on ln with the listener limits
+// above until ctx ends, then drains: drain runs first — it flips the
+// front to draining, so /healthz turns 503 and load balancers stop
+// sending, and new work is shed — then the listener shuts down, giving
+// in-flight requests up to drainTimeout to complete. A listener
+// failure before ctx ends is returned as is.
+func ServeAndDrain(ctx context.Context, ln net.Listener, h http.Handler, drainTimeout time.Duration, drain func()) error {
+	hs := NewHTTPServer(h)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+
+	select {
+	case err := <-serveErr:
+		return err // listener failed before any shutdown was requested
+	case <-ctx.Done():
+	}
+
+	drain()
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := hs.Shutdown(sctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("drain timed out after %v with requests still in flight", drainTimeout)
+	}
+	if serr := <-serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
+		err = serr
+	}
+	return err
 }

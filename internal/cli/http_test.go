@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bufio"
+	"context"
 	"io"
 	"net"
 	"net/http"
@@ -77,5 +78,41 @@ func TestOversizedHeaderRefused(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
 		t.Fatalf("status %d, want 431", resp.StatusCode)
+	}
+}
+
+// TestServeAndDrain: cancelling ctx runs drain first and returns nil
+// once the listener is shut down; a request still in flight after the
+// drain timeout turns into the "drain timed out" error.
+func TestServeAndDrain(t *testing.T) {
+	for _, stuck := range []bool{false, true} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, release := make(chan struct{}), make(chan struct{})
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			close(started)
+			<-release
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		drained := false
+		errc := make(chan error, 1)
+		go func() {
+			errc <- ServeAndDrain(ctx, ln, h, 50*time.Millisecond, func() { drained = true })
+		}()
+		if stuck {
+			go http.Get("http://" + ln.Addr().String() + "/")
+			<-started
+		}
+		cancel()
+		err = <-errc
+		close(release)
+		if !drained {
+			t.Fatalf("stuck=%v: drain never ran", stuck)
+		}
+		if timedOut := err != nil && strings.Contains(err.Error(), "drain timed out"); timedOut != stuck {
+			t.Fatalf("stuck=%v: err %v", stuck, err)
+		}
 	}
 }

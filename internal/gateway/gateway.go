@@ -1,8 +1,9 @@
 // Package gateway is the horizontal face of a meshrouted cluster: one
-// HTTP daemon that serves the exact same surface as a single routing
-// daemon (/v1/route, /v1/batch in JSON/wire2, /v1/mesh, /healthz,
-// /metrics) by fanning every batch out across N identically-seeded
-// backends and splicing the shards back together.
+// HTTP daemon that serves a single routing daemon's surface
+// (/v1/route, /v1/batch in JSON/wire2, /v1/mesh, /healthz, /metrics)
+// through the daemon's own server.Front, with an Engine that fans
+// every batch out across N identically-seeded backends and splices the
+// shards back together.
 //
 // Oblivious routing is what makes the splice exact rather than
 // approximate: a path is a pure function of (seed, stream, s, t), and
@@ -25,9 +26,7 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -39,7 +38,6 @@ import (
 
 	obliviousmesh "obliviousmesh"
 	"obliviousmesh/internal/mesh"
-	"obliviousmesh/internal/metrics"
 	"obliviousmesh/internal/server"
 )
 
@@ -126,23 +124,18 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Gateway shards batches over a set of meshrouted backends. All
-// methods are safe for concurrent use.
+// Gateway is the fan-out Engine behind a server.Front: it shards
+// batches over a set of meshrouted backends. All methods are safe for
+// concurrent use.
 type Gateway struct {
+	*server.Front
 	cfg      Config
 	m        *mesh.Mesh
 	info     obliviousmesh.ServerInfo // the common backend identity
 	maxBatch int
-	adm      *server.Admitter
 	backends []*backend
 
-	streams  uint64 // single-route stream ids (atomic)
-	rr       uint64 // round-robin fan-out cursor (atomic)
-	draining atomic.Bool
-	started  time.Time
-
-	routeC metrics.ServerCounters
-	batchC metrics.ServerCounters
+	rr     uint64 // round-robin fan-out cursor (atomic)
 	hedges atomic.Int64
 	refans atomic.Int64
 
@@ -154,67 +147,8 @@ type Gateway struct {
 
 	lat latWindow
 
-	// reqPool pools the batch ingress scratch (*batchScratch): body
-	// bytes and the decoded pair list, so a steady stream of equal-sized
-	// batches parses with zero slice growth — the same discipline the
-	// daemon runs. The validated []Pair recycles separately through
-	// pairsPool, under a refcounting lease (see pairsLease).
-	reqPool sync.Pool
-
 	stop chan struct{}
 	wg   sync.WaitGroup
-}
-
-// batchScratch is the gateway's pooled ingress bundle: the daemon's
-// request type, parsed the same way.
-type batchScratch struct {
-	body []byte
-	req  server.BatchRequest
-}
-
-func (g *Gateway) getBatchScratch() *batchScratch {
-	if bs, ok := g.reqPool.Get().(*batchScratch); ok {
-		return bs
-	}
-	return &batchScratch{}
-}
-
-func (g *Gateway) putBatchScratch(bs *batchScratch) { g.reqPool.Put(bs) }
-
-// pairsPool + pairsLease recycle the validated []Pair of a batch. The
-// slice cannot simply be pooled when doBatch returns: a hedge loser's
-// attempt goroutine may still be marshaling its shard of the pairs
-// while the winner's response is already on the wire. So the batch
-// handler holds one reference, every shard sub-request wave holds one
-// more, and the backing array goes back to the pool only when the last
-// detached drain lets go. A nil lease (single-route path) is inert.
-var pairsPool = sync.Pool{New: func() any { return new([]obliviousmesh.Pair) }}
-
-type pairsLease struct {
-	bp   *[]obliviousmesh.Pair
-	refs atomic.Int64
-}
-
-func leasePairs(n int) (*pairsLease, []obliviousmesh.Pair) {
-	bp := pairsPool.Get().(*[]obliviousmesh.Pair)
-	if cap(*bp) < n {
-		*bp = make([]obliviousmesh.Pair, n)
-	}
-	l := &pairsLease{bp: bp}
-	l.refs.Store(1)
-	return l, (*bp)[:n]
-}
-
-func (l *pairsLease) acquire() {
-	if l != nil {
-		l.refs.Add(1)
-	}
-}
-
-func (l *pairsLease) release() {
-	if l != nil && l.refs.Add(-1) == 0 {
-		pairsPool.Put(l.bp)
-	}
 }
 
 // New validates the cluster and starts the health probers. Every
@@ -225,10 +159,8 @@ func New(ctx context.Context, cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		cfg:     cfg,
-		adm:     server.NewAdmitter(cfg.MaxInFlight, cfg.MaxQueue),
-		started: time.Now(),
-		stop:    make(chan struct{}),
+		cfg:  cfg,
+		stop: make(chan struct{}),
 	}
 	for _, url := range cfg.Backends {
 		b := newBackend(url, cfg)
@@ -250,6 +182,18 @@ func New(ctx context.Context, cfg Config) (*Gateway, error) {
 	if cfg.MaxBatch > 0 && cfg.MaxBatch < g.maxBatch {
 		g.maxBatch = cfg.MaxBatch
 	}
+	// The cluster identity with the gateway's own (minimum) limits.
+	g.Front = server.NewFront(server.FrontConfig{
+		Prefix: "meshgate",
+		Mesh:   m,
+		Info: server.MeshResponse{
+			Spec: g.info.Mesh, Seed: g.info.Seed, Variant: g.info.Variant, KSample: g.info.KSample,
+		},
+		MaxInFlight:    cfg.MaxInFlight,
+		MaxQueue:       cfg.MaxQueue,
+		MaxBatch:       g.maxBatch,
+		RequestTimeout: cfg.RequestTimeout,
+	}, g)
 	g.wg.Add(1)
 	go g.probeLoop()
 	return g, nil
@@ -301,202 +245,27 @@ func (g *Gateway) Close() {
 	g.wg.Wait()
 }
 
-// Drain flips the gateway into draining mode, exactly like the
-// daemon's: /healthz turns 503 and new routing requests are shed.
-func (g *Gateway) Drain() { g.draining.Store(true) }
-
-// Undrain reverses Drain.
-func (g *Gateway) Undrain() { g.draining.Store(false) }
-
-// Draining reports whether Drain has been called.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
-
 // Mesh returns the cluster topology.
 func (g *Gateway) Mesh() *mesh.Mesh { return g.m }
 
 // MaxBatch returns the effective batch cap (the cluster minimum).
 func (g *Gateway) MaxBatch() int { return g.maxBatch }
 
-// Handler returns the service mux — the same five endpoints as the
-// daemon.
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/route", g.handleRoute)
-	mux.HandleFunc("/v1/batch", g.handleBatch)
-	mux.HandleFunc("/v1/mesh", g.handleMesh)
-	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	return mux
+// Route serves one /v1/route pair: a one-pair batch based at the
+// front's stream counter, gathered from the rotation like any JSON
+// batch — the same replayability contract as the daemon's.
+func (g *Gateway) Route(ctx context.Context, w http.ResponseWriter, p mesh.Pair, stream uint64, rows *server.HopRows) (code int, edges int64) {
+	code, _, edges = g.gatherRows(ctx, w, nil, []obliviousmesh.Pair{p}, stream, rows)
+	return code, edges
 }
 
-// admitOrShed is the daemon's admission policy verbatim: drain and
-// overflow shed with Retry-After, queued waiters are deadline-bounded.
-func (g *Gateway) admitOrShed(ctx context.Context, w http.ResponseWriter, c *metrics.ServerCounters) bool {
-	if g.draining.Load() {
-		c.Shed()
-		w.Header().Set("Retry-After", "1")
-		server.WriteErr(w, http.StatusServiceUnavailable, "draining")
-		return false
+// Batch serves one /v1/batch: wire2 splices straight into the
+// response, JSON gathers every shard first.
+func (g *Gateway) Batch(ctx context.Context, w http.ResponseWriter, b *server.Batch, rows *server.HopRows) (code int, routes, edges int64) {
+	if rows == nil {
+		return g.spliceBatch(ctx, w, b)
 	}
-	if err := g.adm.Admit(ctx); err != nil {
-		if errors.Is(err, server.ErrShed) {
-			c.Shed()
-			w.Header().Set("Retry-After", "1")
-			server.WriteErr(w, http.StatusTooManyRequests, "overloaded: %d in flight, %d queued", g.cfg.MaxInFlight, g.cfg.MaxQueue)
-		} else {
-			c.Timeout()
-			server.WriteErr(w, http.StatusServiceUnavailable, "canceled while queued: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
-	if !g.admitOrShed(ctx, w, &g.routeC) {
-		return
-	}
-	defer g.adm.Release()
-	start := g.routeC.Start()
-	code, routes, edges := g.doRoute(ctx, w, r)
-	g.routeC.Done(code, start, routes, edges)
-}
-
-func (g *Gateway) doRoute(ctx context.Context, w http.ResponseWriter, r *http.Request) (code int, routes, edges int64) {
-	var req struct {
-		S int `json:"s"`
-		T int `json:"t"`
-	}
-	body := http.MaxBytesReader(w, r.Body, 4096)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		server.WriteErr(w, http.StatusBadRequest, "decode request: %v", err)
-		return http.StatusBadRequest, 0, 0
-	}
-	size := g.m.Size()
-	if req.S < 0 || req.S >= size || req.T < 0 || req.T >= size {
-		server.WriteErr(w, http.StatusBadRequest, "pair (%d,%d) out of range for %v", req.S, req.T, g.m)
-		return http.StatusBadRequest, 0, 0
-	}
-	// One route is a one-pair batch based at the gateway's own stream
-	// counter — the same replayability contract as the daemon's.
-	stream := atomic.AddUint64(&g.streams, 1) - 1
-	pair := []obliviousmesh.Pair{{S: obliviousmesh.NodeID(req.S), T: obliviousmesh.NodeID(req.T)}}
-	buf := gatherPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer gatherPool.Put(buf)
-	dec, _, err := g.gather(ctx, buf, nil, pair, stream)
-	var sp obliviousmesh.SegPath
-	if err == nil {
-		sp, err = dec.NextLent()
-	}
-	if err == nil {
-		err = dec.Close()
-	}
-	if err != nil {
-		return g.writeFanoutErr(ctx, w, err), 0, 0
-	}
-	rows := server.AcquireHopRows()
-	defer rows.Release()
-	rows.Append(g.m, sp)
-	server.WriteJSON(w, http.StatusOK, server.RouteResponse{Stream: stream, Path: rows.Rows()[0]})
-	return http.StatusOK, 1, int64(sp.Len())
-}
-
-func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.WriteErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
-	if !g.admitOrShed(ctx, w, &g.batchC) {
-		return
-	}
-	defer g.adm.Release()
-	start := g.batchC.Start()
-	code, routes, edges := g.doBatch(ctx, w, r)
-	if code == http.StatusGatewayTimeout {
-		g.batchC.Timeout()
-	}
-	g.batchC.Done(code, start, routes, edges)
-}
-
-func (g *Gateway) doBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) (code int, routes, edges int64) {
-	limit := int64(64 + 48*g.maxBatch)
-	bs := g.getBatchScratch()
-	defer g.putBatchScratch(bs)
-	var err error
-	if bs.body, err = server.ReadAppend(bs.body[:0], http.MaxBytesReader(w, r.Body, limit)); err == nil {
-		err = bs.req.Decode(bs.body)
-	}
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, "decode request: %v", err)
-		return http.StatusBadRequest, 0, 0
-	}
-	req := &bs.req
-	if len(req.Pairs) > g.maxBatch {
-		server.WriteErr(w, http.StatusRequestEntityTooLarge, "%d pairs exceeds max batch %d", len(req.Pairs), g.maxBatch)
-		return http.StatusRequestEntityTooLarge, 0, 0
-	}
-	if req.Base > server.MaxStreamBase {
-		server.WriteErr(w, http.StatusBadRequest, "base %d exceeds max %d", req.Base, uint64(server.MaxStreamBase))
-		return http.StatusBadRequest, 0, 0
-	}
-	// Stricter than one daemon by len(pairs): shard j re-posts with
-	// base+lo, which must itself pass the daemon's base check.
-	if req.Base+uint64(len(req.Pairs)) > server.MaxStreamBase {
-		server.WriteErr(w, http.StatusBadRequest, "base %d plus %d pairs exceeds max %d", req.Base, len(req.Pairs), uint64(server.MaxStreamBase))
-		return http.StatusBadRequest, 0, 0
-	}
-	size := g.m.Size()
-	lease, pairs := leasePairs(len(req.Pairs))
-	defer lease.release()
-	for i, pr := range req.Pairs {
-		if pr[0] < 0 || pr[0] >= size || pr[1] < 0 || pr[1] >= size {
-			server.WriteErr(w, http.StatusBadRequest, "pair %d (%d,%d) out of range for %v", i, pr[0], pr[1], g.m)
-			return http.StatusBadRequest, 0, 0
-		}
-		pairs[i] = obliviousmesh.Pair{S: obliviousmesh.NodeID(pr[0]), T: obliviousmesh.NodeID(pr[1])}
-	}
-
-	format, ok := server.NegotiateBatchFormat(r)
-	if !ok {
-		server.WriteErr(w, http.StatusBadRequest, `unknown format %q (want "json" or "wire2")`, format)
-		return http.StatusBadRequest, 0, 0
-	}
-	if format == "wire2" {
-		return g.spliceBatch(ctx, w, lease, pairs, req.Base)
-	}
-
-	buf := gatherPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer gatherPool.Put(buf)
-	dec, edges, err := g.gather(ctx, buf, lease, pairs, req.Base)
-	if err != nil {
-		return g.writeFanoutErr(ctx, w, err), 0, 0
-	}
-	// The daemon's row renderer expands the spliced runs, so the JSON
-	// bytes are the daemon's own.
-	rows := server.AcquireHopRows()
-	defer rows.Release()
-	for range pairs {
-		sp, err := dec.NextLent()
-		if err != nil {
-			return g.writeFanoutErr(ctx, w, err), 0, 0
-		}
-		rows.Append(g.m, sp)
-	}
-	if err := dec.Close(); err != nil {
-		return g.writeFanoutErr(ctx, w, err), 0, 0
-	}
-	server.WriteJSON(w, http.StatusOK, server.BatchResponse{Paths: rows.Rows()})
-	return http.StatusOK, int64(len(pairs)), edges
+	return g.gatherRows(ctx, w, b, b.Pairs, b.Base, rows)
 }
 
 // writeFanoutErr answers a fan-out failure that struck before
@@ -560,33 +329,6 @@ func (g *Gateway) healthyCount() int {
 		}
 	}
 	return n
-}
-
-func (g *Gateway) handleMesh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.WriteErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	// The cluster identity with the gateway's own (minimum) limits.
-	server.WriteJSON(w, http.StatusOK, server.MeshResponse{
-		Spec:     g.info.Mesh,
-		Seed:     g.info.Seed,
-		Variant:  g.info.Variant,
-		MaxBatch: g.maxBatch,
-		KSample:  g.info.KSample,
-		Formats:  []string{"json", "wire2"},
-		Features: []string{"batch-base"},
-	})
-}
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if g.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "draining (in flight: %d)\n", g.adm.InFlight())
-		return
-	}
-	fmt.Fprintln(w, "ok")
 }
 
 // latWindow is a small sliding window of shard latencies feeding the

@@ -5,27 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"obliviousmesh/internal/server"
 )
-
-// handleMetrics renders the gateway's own counters plus the merged
-// cluster view: every backend is scraped concurrently and its
-// exposition folded into per-backend gauges and cluster-summed
-// counters, so one scrape of the gateway sees the whole fleet.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.WriteErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.writeMetrics(r.Context(), w)
-}
 
 // clusterSums are the backend counters worth adding across the fleet;
 // maxMerged are gauges where the cluster figure is the worst member.
@@ -42,20 +26,12 @@ var clusterMaxes = []string{
 	"meshrouted_live_congestion",
 }
 
-func (g *Gateway) writeMetrics(ctx context.Context, w io.Writer) {
-	server.WriteEndpointMetrics(w, "meshgate", "route", g.routeC.Snapshot())
-	server.WriteEndpointMetrics(w, "meshgate", "batch", g.batchC.Snapshot())
-
-	fmt.Fprintf(w, "meshgate_admission_in_flight %d\n", g.adm.InFlight())
-	fmt.Fprintf(w, "meshgate_admission_waiting %d\n", g.adm.Waiting())
-	fmt.Fprintf(w, "meshgate_admission_in_flight_max %d\n", g.cfg.MaxInFlight)
-	fmt.Fprintf(w, "meshgate_admission_queue_max %d\n", g.cfg.MaxQueue)
-	draining := 0
-	if g.draining.Load() {
-		draining = 1
-	}
-	fmt.Fprintf(w, "meshgate_draining %d\n", draining)
-	fmt.Fprintf(w, "meshgate_uptime_seconds %.3f\n", time.Since(g.started).Seconds())
+// WriteMetrics writes the gateway's own /metrics lines — hedge, re-fan
+// and splice counters and membership gauges — plus the merged cluster
+// view: every backend is scraped concurrently and its exposition
+// folded into per-backend gauges and cluster-summed counters, so one
+// scrape of the gateway sees the whole fleet.
+func (g *Gateway) WriteMetrics(ctx context.Context, w io.Writer) {
 	fmt.Fprintf(w, "meshgate_hedges_total %d\n", g.hedges.Load())
 	fmt.Fprintf(w, "meshgate_hedge_wasted_bytes_total %d\n", g.hedgeWasted.Load())
 	fmt.Fprintf(w, "meshgate_refans_total %d\n", g.refans.Load())

@@ -13,6 +13,7 @@ import (
 
 	obliviousmesh "obliviousmesh"
 	"obliviousmesh/internal/serial"
+	"obliviousmesh/internal/server"
 )
 
 // The gateway's one fan-in. A shard's wire2 records are byte-identical
@@ -90,17 +91,17 @@ func (g *Gateway) shardCount(n int) (int, error) {
 // response. It owns the whole response (header included) and returns
 // the status code for the gateway's books plus the routes/edges it
 // actually flushed.
-func (g *Gateway) spliceBatch(ctx context.Context, w http.ResponseWriter, lease *pairsLease, pairs []obliviousmesh.Pair, base uint64) (code int, routes, edges int64) {
+func (g *Gateway) spliceBatch(ctx context.Context, w http.ResponseWriter, b *server.Batch) (code int, routes, edges int64) {
 	// Pre-flight: past this point the 200 is committed, so an empty
 	// rotation must 503 now, while it still can.
-	k, err := g.shardCount(len(pairs))
+	k, err := g.shardCount(len(b.Pairs))
 	if err != nil {
 		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
 	w.Header().Set("Content-Type", serial.WireSegContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	routes, edges, err = g.spliceShards(ctx, w, flusher, lease, pairs, base, k)
+	routes, edges, err = g.spliceShards(ctx, w, flusher, b, b.Pairs, b.Base, k)
 	if err != nil {
 		return fanoutErrCode(ctx, err), routes, edges
 	}
@@ -108,21 +109,37 @@ func (g *Gateway) spliceBatch(ctx context.Context, w http.ResponseWriter, lease 
 	return http.StatusOK, routes, edges
 }
 
-// gather runs the fan-in into buf and returns a decoder over the
-// spliced stream plus the batch's hop count — the json and /v1/route
-// path, which commits nothing until every shard is in, so a failure
-// keeps its error status.
-func (g *Gateway) gather(ctx context.Context, buf *bytes.Buffer, lease *pairsLease, pairs []obliviousmesh.Pair, base uint64) (*serial.WireSegDecoder, int64, error) {
+// gatherRows is the json and /v1/route fan-in: it splices every shard
+// into a pooled buffer, decodes that one verified stream and appends
+// each path's hops to rows — the daemon's row renderer, so the JSON
+// bytes are the daemon's own. It commits nothing until every shard is
+// in, so a failure keeps its error status.
+func (g *Gateway) gatherRows(ctx context.Context, w http.ResponseWriter, lease *server.Batch,
+	pairs []obliviousmesh.Pair, base uint64, rows *server.HopRows) (code int, routes, edges int64) {
 	k, err := g.shardCount(len(pairs))
 	if err != nil {
-		return nil, 0, err
+		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
-	_, edges, err := g.spliceShards(ctx, buf, nil, lease, pairs, base, k)
-	if err != nil {
-		return nil, 0, err
+	buf := gatherPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer gatherPool.Put(buf)
+	if _, edges, err = g.spliceShards(ctx, buf, nil, lease, pairs, base, k); err != nil {
+		return g.writeFanoutErr(ctx, w, err), 0, 0
 	}
 	dec, err := serial.NewWireSegDecoder(bytes.NewReader(buf.Bytes()), g.m, len(pairs))
-	return dec, edges, err
+	for i := 0; err == nil && i < len(pairs); i++ {
+		var sp obliviousmesh.SegPath
+		if sp, err = dec.NextLent(); err == nil {
+			rows.Append(g.m, sp)
+		}
+	}
+	if err == nil {
+		err = dec.Close()
+	}
+	if err != nil {
+		return g.writeFanoutErr(ctx, w, err), 0, 0
+	}
+	return http.StatusOK, int64(len(pairs)), edges
 }
 
 // spliceShards is the in-order shard loop: it fans pairs out across k
@@ -133,7 +150,7 @@ func (g *Gateway) gather(ctx context.Context, buf *bytes.Buffer, lease *pairsLea
 // client as soon as it is written. Write-side failures wrap
 // errSpliceWrite; anything else is the first shard's fetch error.
 func (g *Gateway) spliceShards(ctx context.Context, dst io.Writer, flusher http.Flusher,
-	lease *pairsLease, pairs []obliviousmesh.Pair, base uint64, k int) (routes, edges int64, err error) {
+	lease *server.Batch, pairs []obliviousmesh.Pair, base uint64, k int) (routes, edges int64, err error) {
 	n := len(pairs)
 	spl, err := serial.NewWireSegSplicer(dst, g.m, n)
 	if err != nil {
@@ -252,7 +269,7 @@ func (g *Gateway) spliceShards(ctx context.Context, dst io.Writer, flusher http.
 // Shard boundaries are provisional — what is pinned is that pair i
 // routes with stream base+i, whichever backend ends up serving it, so
 // membership changes mid-request cannot change a single byte.
-func (g *Gateway) fetchShardRaw(ctx context.Context, lease *pairsLease, pairs []obliviousmesh.Pair, base uint64) (*rawShard, error) {
+func (g *Gateway) fetchShardRaw(ctx context.Context, lease *server.Batch, pairs []obliviousmesh.Pair, base uint64) (*rawShard, error) {
 	tried := make(map[*backend]bool)
 	var lastErr error
 	for range g.backends {
@@ -292,7 +309,7 @@ func (g *Gateway) fetchShardRaw(ctx context.Context, lease *pairsLease, pairs []
 // like every failed attempt's — goes back to the pool, a hedge loser's
 // bytes booked as hedge waste.
 func (g *Gateway) collectShard(ctx context.Context, b *backend, tried map[*backend]bool,
-	lease *pairsLease, pairs []obliviousmesh.Pair, base uint64) (*rawShard, error) {
+	lease *server.Batch, pairs []obliviousmesh.Pair, base uint64) (*rawShard, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -318,7 +335,7 @@ func (g *Gateway) collectShard(ctx context.Context, b *backend, tried map[*backe
 		}
 		releaseRawShard(sh)
 	}
-	lease.acquire() // attempts read the leased pairs; settled by drainLosers
+	lease.Hold() // attempts read the leased pairs; settled by drainLosers
 	attempt(b)
 	outstanding := 1
 
@@ -331,14 +348,14 @@ func (g *Gateway) collectShard(ctx context.Context, b *backend, tried map[*backe
 	// it exactly once.
 	drainLosers := func(n int, hedgeLoser bool) {
 		if n == 0 {
-			lease.release()
+			lease.Release()
 			return
 		}
 		go func() {
 			for i := 0; i < n; i++ {
 				discard((<-ch).sh, hedgeLoser)
 			}
-			lease.release()
+			lease.Release()
 		}()
 	}
 

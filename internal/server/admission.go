@@ -24,8 +24,7 @@ type Admitter struct {
 }
 
 // NewAdmitter builds a gate with `inflight` execution slots and a
-// `queue`-deep waiting room. Exported so sibling services (the
-// gateway) shed load with the same semantics as the daemon.
+// `queue`-deep waiting room.
 func NewAdmitter(inflight, queue int) *Admitter {
 	return &Admitter{
 		sem:      make(chan struct{}, inflight),

@@ -1,11 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"sync/atomic"
-	"time"
 
 	"obliviousmesh/internal/core"
 	"obliviousmesh/internal/metrics"
@@ -36,55 +35,10 @@ func (c *ksampleCounters) add(ks core.KStats) {
 	}
 }
 
-// handleMetrics renders the live counters in a flat text exposition
-// (Prometheus-style `name{labels} value` lines): per-endpoint request
-// and latency counters, admission-gate gauges, the LiveLoads top-k hot
-// edges with the live congestion, and the routing-table footprint. Every
-// figure is read with atomic loads while traffic is in flight — the
-// scrape is a consistent-enough rolling view, never a stop-the-world.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.writeMetrics(w)
-}
-
-// WriteEndpointMetrics renders one endpoint's request counters in the
-// flat text exposition under the given metric prefix (the daemon uses
-// "meshrouted", the gateway "meshgate" — identical line shapes, so
-// one set of dashboards reads both).
-func WriteEndpointMetrics(w io.Writer, prefix, endpoint string, st metrics.ServerStats) {
-	e := func(name string, v int64) {
-		fmt.Fprintf(w, "%s_%s{endpoint=%q} %d\n", prefix, name, endpoint, v)
-	}
-	e("requests_total", st.Requests())
-	e("responses_ok_total", st.OK)
-	e("responses_client_error_total", st.ClientErrors)
-	e("responses_server_error_total", st.ServerErrors)
-	e("shed_total", st.Shed)
-	e("timeouts_total", st.Timeouts)
-	e("requests_in_flight", st.InFlight())
-	e("routes_total", st.Routes)
-	e("route_edges_total", st.Traversals)
-	fmt.Fprintf(w, "%s_latency_avg_seconds{endpoint=%q} %.9f\n",
-		prefix, endpoint, st.AvgLatency.Seconds())
-	fmt.Fprintf(w, "%s_latency_max_seconds{endpoint=%q} %.9f\n",
-		prefix, endpoint, st.MaxLatency.Seconds())
-}
-
-func (s *Server) writeMetrics(w io.Writer) {
-	WriteEndpointMetrics(w, "meshrouted", "route", s.routeC.Snapshot())
-	WriteEndpointMetrics(w, "meshrouted", "batch", s.batchC.Snapshot())
-
-	fmt.Fprintf(w, "meshrouted_admission_in_flight %d\n", s.adm.InFlight())
-	fmt.Fprintf(w, "meshrouted_admission_waiting %d\n", s.adm.Waiting())
-	fmt.Fprintf(w, "meshrouted_admission_in_flight_max %d\n", s.cfg.MaxInFlight)
-	fmt.Fprintf(w, "meshrouted_admission_queue_max %d\n", s.cfg.MaxQueue)
-	fmt.Fprintf(w, "meshrouted_draining %d\n", boolGauge(s.draining.Load()))
-	fmt.Fprintf(w, "meshrouted_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
-
+// WriteMetrics writes the daemon's own /metrics lines: the LiveLoads
+// top-k hot edges with the live congestion, the k-sample stats and the
+// routing-table footprint.
+func (s *Server) WriteMetrics(_ context.Context, w io.Writer) {
 	// Live edge loads: the streaming congestion view of DESIGN.md §7,
 	// scraped instead of printed.
 	snap := s.live.Snapshot()
@@ -117,11 +71,4 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "meshrouted_route_table_cells %d\n", ts.Cells)
 		fmt.Fprintf(w, "meshrouted_route_table_bytes %d\n", ts.Bytes)
 	}
-}
-
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

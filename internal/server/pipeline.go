@@ -183,13 +183,11 @@ func (s *Server) batchWire2(ctx context.Context, w http.ResponseWriter, pairs []
 	return http.StatusOK, routes, edges
 }
 
-// batchJSON answers the batch as node-id rows, expanded from each
-// chunk's run-length paths as it arrives. Nothing is written until the
-// whole batch is selected, so a deadline that fires between chunks
-// answers the 504 error envelope, never a partial 200.
-func (s *Server) batchJSON(ctx context.Context, w http.ResponseWriter, pairs []mesh.Pair, base uint64) (code int, routes, edges int64) {
-	rows := AcquireHopRows()
-	defer rows.Release()
+// batchRows expands each chunk's run-length paths into rows as it
+// arrives. It writes nothing on success — the front renders the JSON
+// once the whole batch is selected — so a deadline that fires between
+// chunks answers the 504 error envelope, never a partial 200.
+func (s *Server) batchRows(ctx context.Context, w http.ResponseWriter, pairs []mesh.Pair, base uint64, rows *HopRows) (code int, routes, edges int64) {
 	routes, edges, _ = s.selectBatch(ctx, pairs, base, func(sps []mesh.SegPath) error {
 		for _, sp := range sps {
 			rows.Append(s.m, sp)
@@ -200,6 +198,5 @@ func (s *Server) batchJSON(ctx context.Context, w http.ResponseWriter, pairs []m
 		WriteErr(w, http.StatusGatewayTimeout, "deadline exceeded after %d of %d pairs", routes, len(pairs))
 		return http.StatusGatewayTimeout, 0, 0
 	}
-	WriteJSON(w, http.StatusOK, BatchResponse{Paths: rows.Rows()})
 	return http.StatusOK, routes, edges
 }

@@ -12,8 +12,8 @@ import (
 // and the gateway. Every row's ids live back to back in one flat
 // []int, and Rows carves them with three-index slices, so rows cannot
 // bleed into each other. Pooled: after warm-up, rendering a reply
-// allocates nothing. A handler releases its HopRows only after
-// WriteJSON has encoded the rows.
+// allocates nothing. The front releases its HopRows only after the
+// reply has been encoded.
 type HopRows struct {
 	hops mesh.Path // expansion scratch of the path being appended
 	ints []int     // every row's node ids, back to back
@@ -70,33 +70,9 @@ func (s *Server) getLoadSnap() *[]int64 {
 
 func (s *Server) putLoadSnap(b *[]int64) { s.snapPool.Put(b) }
 
-// batchScratch is the request-side counterpart of HopRows: the raw
-// body bytes, the decoded PairList (its parser reuses the capacity),
-// and the validated []mesh.Pair all live in one pooled
-// bundle, so a steady stream of equal-sized batches parses with zero
-// slice growth. Safe to recycle when doBatch returns: the batch loop
-// joins its selection goroutine (the results channel closes) before
-// returning, so nothing references the pairs
-// afterwards.
-type batchScratch struct {
-	body  []byte
-	req   BatchRequest
-	pairs []mesh.Pair
-}
-
-func (s *Server) getBatchScratch() *batchScratch {
-	if bs, ok := s.reqPool.Get().(*batchScratch); ok {
-		return bs
-	}
-	return &batchScratch{}
-}
-
-func (s *Server) putBatchScratch(bs *batchScratch) { s.reqPool.Put(bs) }
-
-// ReadAppend drains r into buf (reusing its capacity), the
-// pool-friendly io.ReadAll. Exported for the gateway, whose ingress
-// runs the same pooled-parse discipline.
-func ReadAppend(buf []byte, r io.Reader) ([]byte, error) {
+// readAppend drains r into buf (reusing its capacity), the
+// pool-friendly io.ReadAll.
+func readAppend(buf []byte, r io.Reader) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -110,12 +86,4 @@ func ReadAppend(buf []byte, r io.Reader) ([]byte, error) {
 			return buf, err
 		}
 	}
-}
-
-// pairsFor returns a reused length-n []mesh.Pair.
-func (bs *batchScratch) pairsFor(n int) []mesh.Pair {
-	if cap(bs.pairs) < n {
-		bs.pairs = make([]mesh.Pair, n)
-	}
-	return bs.pairs[:n]
 }
