@@ -44,7 +44,7 @@ FUZZ_ONLY ?= $(FUZZ_TARGETS)
 # GatewayBatch benchmarks rendered to JSON (ns/op, B/op, allocs/op and
 # custom metrics) via cmd/benchjson. Earlier files (BENCH_PR3..23.json)
 # form the trajectory.
-BENCH_JSON ?= BENCH_PR25.json
+BENCH_JSON ?= BENCH_PR26.json
 
 build:
 	$(GO) build ./...

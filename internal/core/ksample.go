@@ -86,6 +86,12 @@ func (k *KStats) Merge(o KStats) {
 // scores. packet is the packet's stream. scores aliases per-worker
 // scratch — valid only during the call — and has length 1 with a zero
 // entry when the packet was not sampled (no scoring happens).
+//
+// The committed candidate's score and candidate 0's score are exact.
+// A losing candidate's entry may be a lower bound only: scoring stops
+// once a challenger's running maximum reaches the score it has to
+// beat, so a loser reads as some value ≥ the score it lost to, not
+// necessarily its full maximum load (see pick).
 type KSampleObserver func(packet int, pr mesh.Pair, sp mesh.SegPath, st Stats, committed int, scores []int64)
 
 // pick selects packet (s, t, stream)'s committed runs. With a nil
@@ -97,6 +103,14 @@ type KSampleObserver func(packet int, pr mesh.Pair, sp mesh.SegPath, st Stats, c
 // returns the committed runs (aliasing sc's run buffers, valid until
 // sc's next packet), their Stats, the committed index and the score
 // vector (aliasing sc.scores; a single zero entry when not sampling).
+//
+// Scoring abandons early. Candidate 0 is scored in full; challenger j
+// is scored with the incumbent's score as its limit and stops at the
+// first run whose running maximum reaches it. A challenger needs a
+// strictly smaller score to win, so an abandoned one could not have:
+// the committed path and index are those of full scoring, and the
+// committed score, like candidate 0's, is exact. An abandoned loser's
+// scores entry is only a value ≥ the score it lost to.
 func (sel *Selector) pick(s, t mesh.NodeID, stream uint64, snapshot []int64, sc *scratch) ([]mesh.Seg, Stats, int, []int64) {
 	k := 1
 	if snapshot != nil && sel.opt.KSample > 1 {
@@ -132,7 +146,7 @@ func (sel *Selector) pick(s, t mesh.NodeID, stream uint64, snapshot []int64, sc 
 		var st Stats
 		bufCand, st = sel.selectRuns(s, t, KSampleStream(stream, j), ch, bufCand, sc)
 		totalBits += st.RandomBits
-		scores[j] = metrics.SegPathMaxLoad(sel.m, snapshot, mesh.SegPath{Start: s, Segs: bufCand})
+		scores[j] = metrics.SegPathMaxLoadLimit(sel.m, snapshot, mesh.SegPath{Start: s, Segs: bufCand}, scores[bestIdx])
 		if scores[j] < scores[bestIdx] {
 			bestStats, bestIdx = st, j
 			bufBest, bufCand = bufCand, bufBest

@@ -30,6 +30,17 @@ func fakeSnapshot(m *mesh.Mesh, seed uint64) []int64 {
 	return snap
 }
 
+// tieSnapshot builds a load vector of zeros and ones (about one edge
+// in eight loaded), so most candidates of a packet tie on their score
+// and the early-abandon rule is exercised at equality.
+func tieSnapshot(m *mesh.Mesh, seed uint64) []int64 {
+	snap := fakeSnapshot(m, seed)
+	for i, v := range snap {
+		snap[i] = int64(min(v%8, 1)) ^ 1
+	}
+	return snap
+}
+
 // TestKSampleGoldenK1: at k = 1 the k-sample engine must be
 // byte-identical to the plain segment engine — identical paths and
 // identical Aggregates — across both chain backends (table, none),
@@ -99,14 +110,22 @@ func TestKSampleOptionsValidation(t *testing.T) {
 // snapshot, (b) be the LOWEST index achieving that minimum (the
 // deterministic tie-break), (c) reproduce exactly as the plain path of
 // stream KSampleStream(i, committed), and (d) carry a score equal to
-// an independent SegPathMaxLoad recount.
+// an independent SegPathMaxLoad recount. The hook's score vector is
+// checked against full recounts of every candidate: candidate 0 and
+// every challenger that beat its incumbent are exact, and an abandoned
+// challenger reads at least the incumbent's score and at most its own.
+// The ties cases use 0/1 loads, where most challengers are abandoned
+// on reaching an equal score.
 func TestKSampleCommitProperties(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		m    *mesh.Mesh
+		snap func(*mesh.Mesh, uint64) []int64
 	}{
-		{"mesh", mesh.MustSquare(2, 16)},
-		{"torus", mesh.MustSquareTorus(2, 16)},
+		{"mesh", mesh.MustSquare(2, 16), fakeSnapshot},
+		{"torus", mesh.MustSquareTorus(2, 16), fakeSnapshot},
+		{"mesh-ties", mesh.MustSquare(2, 16), tieSnapshot},
+		{"torus-ties", mesh.MustSquareTorus(2, 16), tieSnapshot},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const k = 4
@@ -114,9 +133,9 @@ func TestKSampleCommitProperties(t *testing.T) {
 			sel := MustNewSelector(tc.m, opt)
 			plain := MustNewSelector(tc.m, Options{Variant: Variant2D, Seed: 9})
 			prob := workload.RandomPermutation(tc.m, 31)
-			snap := fakeSnapshot(tc.m, 5)
+			snap := tc.snap(tc.m, 5)
 
-			checked := 0
+			checked, abandoned, atEqual := 0, 0, 0
 			h := KSegHooks{Cand: func(pkt int, pr mesh.Pair, sp mesh.SegPath, _ Stats, committed int, scores []int64) {
 				if len(scores) != k {
 					t.Errorf("packet %d: %d scores, want %d", pkt, len(scores), k)
@@ -139,6 +158,25 @@ func TestKSampleCommitProperties(t *testing.T) {
 				if got := metrics.SegPathMaxLoad(tc.m, snap, sp); got != scores[committed] {
 					t.Errorf("packet %d: committed score %d != recount %d", pkt, scores[committed], got)
 				}
+				// The loser-score contract, against full recounts.
+				var best int64
+				for j, sc := range scores {
+					full := metrics.SegPathMaxLoad(tc.m, snap, plain.SegPath(pr.S, pr.T, KSampleStream(uint64(pkt), j)))
+					switch {
+					case j == 0 || full < best:
+						if sc != full {
+							t.Errorf("packet %d: candidate %d reads %d, want its exact score %d", pkt, j, sc, full)
+						}
+						best = full
+					case sc < best || sc > full:
+						t.Errorf("packet %d: abandoned candidate %d reads %d, want in [%d, %d]", pkt, j, sc, best, full)
+					case sc != full:
+						abandoned++
+						if sc == best {
+							atEqual++
+						}
+					}
+				}
 				checked++
 			}}
 			sps := make([]mesh.SegPath, len(prob.Pairs))
@@ -155,6 +193,11 @@ func TestKSampleCommitProperties(t *testing.T) {
 			if ks.CommitScoreSum > ks.FirstScoreSum {
 				t.Fatalf("commit score sum %d exceeds candidate-0 sum %d", ks.CommitScoreSum, ks.FirstScoreSum)
 			}
+			if atEqual == 0 {
+				t.Fatalf("no challenger was abandoned at an equal score (%d abandoned in all)", abandoned)
+			}
+			t.Logf("%d redraw wins; %d challengers abandoned short of their score, %d of them at equality",
+				ks.RedrawWins, abandoned, atEqual)
 		})
 	}
 }
@@ -246,13 +289,21 @@ func TestKSampleFeedbackReducesCongestion(t *testing.T) {
 // and a torus: the committed path must replay exactly as the plain
 // path of its candidate stream, start at s, end at t, never leave the
 // mesh (Dest recomputes the walk arithmetically), score no worse than
-// every re-derived candidate, and at k = 1 equal the pure-H path.
+// every re-derived candidate, and at k = 1 equal the pure-H path. A
+// loadSeed with its top bit set draws a 0/1 tieSnapshot instead, where
+// most candidates tie and challengers are abandoned at equality; the
+// oracle recounts every candidate in full, so it checks the commit
+// without trusting any abandoned score.
 func FuzzKSampleSelect(f *testing.F) {
+	const ties = uint64(1) << 63
 	f.Add(uint16(0), uint16(63), uint64(0), uint8(1), uint64(1), false)
 	f.Add(uint16(5), uint16(58), uint64(7), uint8(4), uint64(42), false)
 	f.Add(uint16(12), uint16(12), uint64(3), uint8(8), uint64(9), true)
 	f.Add(uint16(1), uint16(2), uint64(1<<40), uint8(2), uint64(0), true)
 	f.Add(uint16(63), uint16(0), uint64(12345), uint8(3), uint64(77), false)
+	f.Add(uint16(5), uint16(58), uint64(7), uint8(7), ties|5, false)
+	f.Add(uint16(3), uint16(44), uint64(99), uint8(3), ties|6, true)
+	f.Add(uint16(60), uint16(9), uint64(1<<33), uint8(5), ties|77, false)
 
 	mMesh := mesh.MustSquare(2, 8)
 	mTorus := mesh.MustSquareTorus(2, 8)
@@ -276,6 +327,9 @@ func FuzzKSampleSelect(f *testing.F) {
 			sels[name][k] = sel
 		}
 		snap := fakeSnapshot(m, loadSeed)
+		if loadSeed&ties != 0 {
+			snap = tieSnapshot(m, loadSeed)
+		}
 
 		sp, committed, ks := sel.KSegPath(s, dst, stream, snap)
 		if committed < 0 || committed >= k {

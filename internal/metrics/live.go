@@ -343,7 +343,11 @@ func (l *LiveLoads) Snapshot() []int64 {
 
 // SnapshotInto is Snapshot into a caller-provided vector (len ≥ the
 // edge space), returning it re-sliced; it allocates nothing when the
-// buffer is large enough.
+// buffer is large enough. It writes every cell of dst[:EdgeSpace] —
+// each line's cells in the pass below, or all of them by the clear of
+// an unbound tracker — so dst needs no clearing, and a reused buffer
+// carries nothing over from the snapshot it held before
+// (TestSnapshotIntoOverwrites).
 //
 // Every shard's tail cells are read first, then the difference cells
 // in descending order along every line, so every −1 read has its +1

@@ -272,3 +272,27 @@ func mustPanicPrefix(t *testing.T, prefix string, fn func()) {
 	}()
 	fn()
 }
+
+// TestSnapshotIntoOverwrites: SnapshotInto writes every cell of its
+// buffer, so a reused buffer full of another snapshot's loads (or of
+// garbage) yields exactly the loads a fresh vector does, bound or not.
+func TestSnapshotIntoOverwrites(t *testing.T) {
+	for _, m := range []*mesh.Mesh{mesh.MustSquare(2, 16), mesh.MustSquareTorus(2, 16), mesh.MustSquareTorus(3, 6)} {
+		l := NewLiveLoads(m, 4)
+		dirty := make([]int64, m.EdgeSpace())
+		for pass := 0; pass < 2; pass++ {
+			for i := range dirty {
+				dirty[i] = int64(i)*7919 - 1
+			}
+			got, want := l.SnapshotInto(dirty), l.Snapshot()
+			for e := range want {
+				if got[e] != want[e] {
+					t.Fatalf("%v pass %d: edge %d reads %d, fresh snapshot %d", m, pass, e, got[e], want[e])
+				}
+			}
+			for i, sp := range randomSegPaths(m, 64, 9) {
+				l.AddSegPath(m, uint64(i), sp)
+			}
+		}
+	}
+}

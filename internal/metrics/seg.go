@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+
 	"obliviousmesh/internal/decomp"
 	"obliviousmesh/internal/mesh"
 )
@@ -86,6 +88,17 @@ func maxStride(loads []int64, i, st, n int) int64 {
 // An empty or sentinel (Start < 0) path, and any path against a nil
 // load vector (an unloaded network), scores 0.
 func SegPathMaxLoad(m *mesh.Mesh, loads []int64, sp mesh.SegPath) int64 {
+	return SegPathMaxLoadLimit(m, loads, sp, math.MaxInt64)
+}
+
+// SegPathMaxLoadLimit is SegPathMaxLoad that gives up once the answer
+// is known to be at least limit: it stops before the first run it
+// would read with the running maximum already ≥ limit and returns that
+// running maximum. So a result below limit is the exact score, and a
+// result ≥ limit only says the score is ≥ limit. A k-sample challenger
+// scored against the incumbent's score as its limit cannot win once it
+// reaches it, so the rest of its runs need not be read.
+func SegPathMaxLoadLimit(m *mesh.Mesh, loads []int64, sp mesh.SegPath, limit int64) int64 {
 	if sp.Start < 0 || loads == nil {
 		return 0
 	}
@@ -101,6 +114,9 @@ func SegPathMaxLoad(m *mesh.Mesh, loads []int64, sp mesh.SegPath) int64 {
 	}
 	var best int64
 	for _, sg := range sp.Segs {
+		if best >= limit {
+			break
+		}
 		d := int(sg.Dim)
 		var v int64
 		v, u, coords[d] = maxLoadRun(m, loads, u, coords[d], d, int(sg.Run))

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -229,5 +230,29 @@ func TestAddSegPathConcurrent(t *testing.T) {
 	}
 	if got := l.Total(); got != 4*want {
 		t.Fatalf("total = %d, want %d", got, 4*want)
+	}
+}
+
+// TestSegPathMaxLoadLimit: a limited score below its limit is the
+// exact score, and one at or above it lies between the limit and the
+// exact score; with no limit it is the per-edge maximum.
+func TestSegPathMaxLoadLimit(t *testing.T) {
+	for _, m := range []*mesh.Mesh{mesh.MustSquare(2, 16), mesh.MustSquareTorus(2, 16), mesh.MustSquareTorus(3, 6)} {
+		sps := randomSegPaths(m, 64, 5)
+		loads := EdgeLoadsSeg(m, sps)
+		for i, sp := range sps {
+			var want int64
+			m.SegPathEdges(sp, func(e mesh.EdgeID) { want = max(want, loads[e]) })
+			full := SegPathMaxLoad(m, loads, sp)
+			if full != want {
+				t.Fatalf("%v path %d: score %d, per-edge maximum %d", m, i, full, want)
+			}
+			for _, limit := range []int64{0, 1, full - 1, full, full + 1, math.MaxInt64} {
+				got := SegPathMaxLoadLimit(m, loads, sp, limit)
+				if got < limit && got != full || got >= limit && got > full {
+					t.Fatalf("%v path %d: limit %d scores %d, exact score %d", m, i, limit, got, full)
+				}
+			}
+		}
 	}
 }

@@ -40,8 +40,11 @@ func (c *ksampleCounters) add(ks core.KStats) {
 // routing-table footprint.
 func (s *Server) WriteMetrics(_ context.Context, w io.Writer) {
 	// Live edge loads: the streaming congestion view of DESIGN.md §7,
-	// scraped instead of printed.
-	snap := s.live.Snapshot()
+	// scraped instead of printed, into a buffer of the selection's
+	// snapshot cache rather than a fresh EdgeSpace vector per scrape.
+	buf := s.snaps.get()
+	defer s.snaps.put(buf)
+	snap := s.live.SnapshotInto(*buf)
 	fmt.Fprintf(w, "meshrouted_live_congestion %d\n", metrics.MaxLoad(snap))
 	fmt.Fprintf(w, "meshrouted_live_traversals_total %d\n", metrics.SumLoads(snap))
 	for rank, el := range metrics.TopLoads(snap, s.cfg.TopK) {

@@ -70,8 +70,10 @@ func (s *Server) putPipeBuf(b *pipeBuf) { s.pipe.Put(b) }
 // routes it returns then fall short of len(pairs). A sampling server
 // refreshes the request's snapshot per chunk, so selection is
 // deterministic within a chunk while later chunks see the load earlier
-// ones booked. The snapshot is allocated per request, not pooled: a
-// pooled EdgeSpace vector per concurrent batch stays resident.
+// ones booked. The request takes one snapshot buffer from s.snaps for
+// all its chunks and hands it back when selection ends; the cache
+// holds idle buffers only weakly, so they are reused between GCs and
+// never stay resident.
 //
 // routes and edges count the paths sink accepted; err is the first
 // sink error, which also stops selection.
@@ -89,7 +91,12 @@ func (s *Server) selectBatch(ctx context.Context, pairs []mesh.Pair, base uint64
 		hooks := core.Hooks{Seg: func(pkt int, _ mesh.Pair, sp mesh.SegPath, _ core.Stats) {
 			s.live.AddSegPath(s.m, uint64(pkt), sp)
 		}}
-		var snap []int64
+		var snap *[]int64
+		defer func() {
+			if snap != nil {
+				s.snaps.put(snap)
+			}
+		}()
 		for lo := 0; lo < len(pairs); lo += s.cfg.BatchChunk {
 			if s.chunkHook != nil {
 				s.chunkHook(lo)
@@ -108,9 +115,9 @@ func (s *Server) selectBatch(ctx context.Context, pairs []mesh.Pair, base uint64
 			req := core.Request{Pairs: pairs[lo:hi], Base: base + uint64(lo), Workers: s.cfg.BatchWorkers, Arena: buf.arena, Segs: buf.sps[:hi-lo], Hooks: hooks}
 			if s.cfg.KSample > 1 {
 				if snap == nil {
-					snap = make([]int64, s.m.EdgeSpace())
+					snap = s.snaps.get()
 				}
-				req.Snapshot = s.live.SnapshotInto(snap)
+				req.Snapshot = s.live.SnapshotInto(*snap)
 			}
 			if _, ks := s.sel.Select(req); req.Snapshot != nil {
 				s.kc.add(ks)

@@ -32,12 +32,13 @@ func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 func (d *discardWriter) Flush()                      {}
 
 // newPipelineBenchServer builds a wire2-serving handler on a 2-D mesh
-// of the given side, with chunking small enough that the batch really
-// flows through multiple pipeline handoffs.
-func newPipelineBenchServer(b testing.TB, side int) (http.Handler, []byte, int) {
+// of the given side, sampling k candidates per packet, with chunking
+// small enough that a size-pair batch really flows through multiple
+// pipeline handoffs.
+func newPipelineBenchServer(b testing.TB, side, k, size int) (http.Handler, []byte) {
 	m := mesh.MustSquare(2, side)
 	srv, err := New(Config{
-		Mesh: m, Seed: 7,
+		Mesh: m, Seed: 7, KSample: k,
 		MaxInFlight: 8, MaxQueue: 64,
 		RequestTimeout: time.Minute,
 		BatchChunk:     256,
@@ -45,21 +46,20 @@ func newPipelineBenchServer(b testing.TB, side int) (http.Handler, []byte, int) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	const size = 2048
 	var req BatchRequest
-	for k := 0; k < size; k++ {
-		s := (k * 131) % m.Size()
+	for i := 0; i < size; i++ {
+		s := (i * 131) % m.Size()
 		req.Pairs = append(req.Pairs, [2]int{s, (s + 517) % m.Size()})
 	}
 	blob, _ := json.Marshal(req)
-	return srv.Handler(), blob, size
+	return srv.Handler(), blob
 }
 
-// benchPipelineServe runs one wire2 batch per iteration through the
-// handler with a discarding writer; B/op is the serve path's live
-// allocation bill for a 2048-pair batch in 256-pair chunks.
-func benchPipelineServe(b *testing.B, side int) {
-	handler, blob, size := newPipelineBenchServer(b, side)
+// benchPipelineServe runs one wire2 batch of size pairs per iteration
+// through the handler with a discarding writer; B/op is the serve
+// path's live allocation bill for the batch in 256-pair chunks.
+func benchPipelineServe(b *testing.B, side, k, size int) {
+	handler, blob := newPipelineBenchServer(b, side, k, size)
 	req := httptest.NewRequest(http.MethodPost, "/v1/batch?format=wire2", nil)
 
 	serve := func() {
@@ -84,13 +84,18 @@ func benchPipelineServe(b *testing.B, side int) {
 
 // BenchmarkServerBatchPipeline measures the pipelined slab-pooled
 // wire2 serve path. The interesting column is B/op: the pipeline keeps
-// O(chunk) live bytes in recycled slabs, however long the batch.
+// O(chunk) live bytes in recycled slabs, however long the batch. The
+// ksample4 arm serves meshbench's ksample-batch shape, 128-pair k=4
+// batches, so its B/op shows what a request's load snapshot costs.
 func BenchmarkServerBatchPipeline(b *testing.B) {
 	for _, side := range []int{64, 256} {
 		b.Run("side"+itoa(side)+"/pipelined", func(b *testing.B) {
-			benchPipelineServe(b, side)
+			benchPipelineServe(b, side, 1, 2048)
 		})
 	}
+	b.Run("side256/ksample4", func(b *testing.B) {
+		benchPipelineServe(b, 256, 4, 128)
+	})
 }
 
 // pipelineBudget is the allocation budget of one pipelined side-256
@@ -117,7 +122,7 @@ func TestBenchGateServerPipeline(t *testing.T) {
 	best := int64(-1)
 	for rep := 0; rep < 2; rep++ {
 		r := testing.Benchmark(func(b *testing.B) {
-			benchPipelineServe(b, 256)
+			benchPipelineServe(b, 256, 1, 2048)
 		})
 		if ao := r.AllocedBytesPerOp(); best < 0 || ao < best {
 			best = ao
@@ -127,4 +132,38 @@ func TestBenchGateServerPipeline(t *testing.T) {
 		t.Fatalf("pipelined wire2 serve: %d B/op, budget %d B/op", best, pipelineBudget)
 	}
 	t.Logf("pipelined wire2 serve: %d B/op, budget %d B/op", best, pipelineBudget)
+}
+
+// ksampleBudget is the allocation budget of one 128-pair k=4 wire2
+// serve on the side-256 mesh: a sixteenth of the 1 MiB load snapshot,
+// so a request that allocates its own snapshot instead of taking one
+// from the server's buffer cache fails it. The cached serve measured
+// about 2.3 KB/op, against about 1,052 KB/op with a fresh snapshot per
+// request.
+const ksampleBudget = 64 << 10
+
+// TestBenchGateServerKSample is the allocation gate of the sampling
+// serve path, run like TestBenchGateServerPipeline.
+func TestBenchGateServerKSample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark gate is not a -short test")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the allocation profile; the gate runs in the non-race suite")
+	}
+	// A GC mid-run frees the cached snapshot and the next request
+	// allocates a new one — take the best of two runs.
+	best := int64(-1)
+	for rep := 0; rep < 2; rep++ {
+		r := testing.Benchmark(func(b *testing.B) {
+			benchPipelineServe(b, 256, 4, 128)
+		})
+		if ao := r.AllocedBytesPerOp(); best < 0 || ao < best {
+			best = ao
+		}
+	}
+	if best > ksampleBudget {
+		t.Fatalf("k=4 wire2 serve: %d B/op, budget %d B/op", best, ksampleBudget)
+	}
+	t.Logf("k=4 wire2 serve: %d B/op, budget %d B/op", best, ksampleBudget)
 }

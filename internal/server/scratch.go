@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"sync"
+	"weak"
 
 	"obliviousmesh/internal/mesh"
 )
@@ -58,17 +59,43 @@ func (r *HopRows) Rows() [][]int {
 	return r.rows
 }
 
-// getLoadSnap returns a pooled EdgeSpace-long buffer for a k-sample
-// load snapshot; putLoadSnap returns it once scoring is done.
-func (s *Server) getLoadSnap() *[]int64 {
-	if b, ok := s.snapPool.Get().(*[]int64); ok {
-		return b
+// snapBufs caches the EdgeSpace-long load vectors that k-sample
+// selection and /metrics snapshot the live tracker into, held weakly:
+// an idle buffer is reused by the next request if no GC has run since
+// it was put back, and freed by the next GC otherwise. A sync.Pool
+// would keep idle buffers through a GC in its victim cache, so they
+// would count as resident heap; here the cache holds, between GCs, at
+// most as many buffers as snapshots were in flight at once, and none
+// after a GC. A reused buffer needs no clearing: SnapshotInto writes
+// every cell.
+type snapBufs struct {
+	size int
+	mu   sync.Mutex
+	free []weak.Pointer[[]int64]
+}
+
+// get returns an idle buffer that is still alive, or a new one.
+func (c *snapBufs) get() *[]int64 {
+	c.mu.Lock()
+	for len(c.free) > 0 {
+		wp := c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+		if b := wp.Value(); b != nil {
+			c.mu.Unlock()
+			return b
+		}
 	}
-	b := make([]int64, s.m.EdgeSpace())
+	c.mu.Unlock()
+	b := make([]int64, c.size)
 	return &b
 }
 
-func (s *Server) putLoadSnap(b *[]int64) { s.snapPool.Put(b) }
+// put hands b back; the cache holds it only weakly.
+func (c *snapBufs) put(b *[]int64) {
+	c.mu.Lock()
+	c.free = append(c.free, weak.Make(b))
+	c.mu.Unlock()
+}
 
 // readAppend drains r into buf (reusing its capacity), the
 // pool-friendly io.ReadAll.

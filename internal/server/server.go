@@ -149,13 +149,13 @@ type Server struct {
 
 	kc ksampleCounters
 
-	// pipe pools the batch pipeline's chunk buffers (*pipeBuf);
-	// snapPool pools the k-sample /v1/route load snapshots (*[]int64 of
-	// EdgeSpace). With the front's batch pool and the package's HopRows
-	// pool they make sequential requests allocation-free at steady
-	// state.
-	pipe     sync.Pool
-	snapPool sync.Pool
+	// pipe pools the batch pipeline's chunk buffers (*pipeBuf). With
+	// the front's batch pool and the package's HopRows pool it makes
+	// sequential requests allocation-free at steady state. snaps holds
+	// the live-load snapshot buffers of k-sample selection and
+	// /metrics, weakly, so idle ones die at the next GC.
+	pipe  sync.Pool
+	snaps snapBufs
 }
 
 // New builds a Server (and its Selector) from cfg.
@@ -175,10 +175,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
-		cfg:  cfg,
-		m:    cfg.Mesh,
-		sel:  sel,
-		live: metrics.NewLiveLoads(cfg.Mesh, cfg.LoadShards),
+		cfg:   cfg,
+		m:     cfg.Mesh,
+		sel:   sel,
+		live:  metrics.NewLiveLoads(cfg.Mesh, cfg.LoadShards),
+		snaps: snapBufs{size: cfg.Mesh.EdgeSpace()},
 	}
 	variant := "general"
 	if v == core.Variant2D {
@@ -205,20 +206,20 @@ func (s *Server) Live() *metrics.LiveLoads { return s.live }
 func (s *Server) Mesh() *mesh.Mesh { return s.m }
 
 // Route serves one /v1/route pair. A sampling server scores the
-// candidates against the tracker as it stands right now; the snapshot
-// buffer is pooled, as one EdgeSpace vector per request would be
-// 16 MiB at side 1024. At k ≤ 1 the snapshot stays nil and KSegPath is
-// exactly SegPath.
+// candidates against the tracker as it stands right now, snapshotted
+// into a buffer from s.snaps, as one fresh EdgeSpace vector per request
+// would be 16 MiB at side 1024. At k ≤ 1 the snapshot stays nil and
+// KSegPath is exactly SegPath.
 func (s *Server) Route(_ context.Context, _ http.ResponseWriter, p mesh.Pair, stream uint64, rows *HopRows) (code int, edges int64) {
 	var buf *[]int64
 	var snap []int64
 	if s.cfg.KSample > 1 {
-		buf = s.getLoadSnap()
+		buf = s.snaps.get()
 		snap = s.live.SnapshotInto(*buf)
 	}
 	sp, _, ks := s.sel.KSegPath(p.S, p.T, stream, snap)
 	if buf != nil {
-		s.putLoadSnap(buf)
+		s.snaps.put(buf)
 		s.kc.add(ks)
 	}
 	s.live.AddSegPath(s.m, stream, sp)

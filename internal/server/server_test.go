@@ -102,8 +102,10 @@ func TestRouteEndpoint(t *testing.T) {
 
 // TestRouteKSampleSnapshotPooled pins the memory of a sampling
 // /v1/route: each request scores its candidates against a load
-// snapshot, and that snapshot must come from a pooled buffer, not a
-// fresh EdgeSpace vector per request (16 MiB at side 1024).
+// snapshot, and that snapshot must come from the server's buffer
+// cache, not a fresh EdgeSpace vector per request (16 MiB at side
+// 1024). The GC before the timed loop frees the cached buffer, so the
+// loop's first request allocates one snapshot and the rest reuse it.
 func TestRouteKSampleSnapshotPooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation; the budget runs in the non-race suite")
